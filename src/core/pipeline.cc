@@ -56,22 +56,21 @@ runNeededPasses(Dag &dag, const SchedulerConfig &config, PassImpl impl)
 }
 
 /**
- * Per-block trace emission: snapshots the thread's active counter
- * source (worker shard inside the pipeline, global registry
- * otherwise) around each phase and fires one event with the phase's
- * deltas.  Inactive (and cost-free beyond one branch) unless both a
+ * Per-block trace emission: fires one event per phase carrying the
+ * lane's counter deltas since the previous event (or the block's
+ * start).  Inactive (and cost-free beyond one branch) unless both a
  * sink is configured and the observability layer is on.
  */
 class BlockTracer
 {
   public:
-    BlockTracer(obs::TraceSink *sink, std::size_t block,
-                const BasicBlock &bb, unsigned worker)
-        : sink_(obs::enabled() ? sink : nullptr), block_(block), bb_(bb),
-          worker_(worker)
+    BlockTracer(obs::TraceSink *sink, const obs::CounterValues &source,
+                std::size_t block, const BasicBlock &bb, unsigned worker)
+        : sink_(obs::enabled() ? sink : nullptr), source_(source),
+          block_(block), bb_(bb), worker_(worker)
     {
         if (sink_)
-            before_ = obs::activeSnapshot();
+            mark_ = source_;
     }
 
     void
@@ -86,17 +85,98 @@ class BlockTracer
         ev.phase = phase;
         ev.seconds = seconds;
         ev.worker = worker_;
-        ev.counters = obs::activeDeltaSince(before_);
+        ev.counters.addDelta(source_, mark_);
         sink_->event(ev);
-        before_ = obs::activeSnapshot();
+        mark_ = source_;
     }
 
   private:
     obs::TraceSink *sink_;
+    const obs::CounterValues &source_; ///< the lane's block shard
     std::size_t block_;
     const BasicBlock &bb_;
     unsigned worker_;
-    obs::CounterSet before_;
+    obs::CounterValues mark_; ///< source_ at the previous event
+};
+
+/** Thrown inside one block's chain to request degradation; never
+ * escapes processBlock. */
+struct BlockAbort
+{
+    const char *stage;
+    std::string reason;
+};
+
+/** A block's wall-clock allowance, charged phase by phase. */
+struct BlockBudget
+{
+    double limit = 0.0;    ///< seconds; 0 = unlimited
+    bool fromRun = false;  ///< limit is a share of --max-run-seconds
+    double spent = 0.0;
+
+    /** Charge @p seconds of phase @p stage; throws BlockAbort once the
+     * block has spent more than its limit. */
+    void
+    charge(const char *stage, double seconds)
+    {
+        spent += seconds;
+        if (limit <= 0.0 || spent <= limit)
+            return;
+        obs::ev::robustBudgetExceeded.inc();
+        if (fromRun)
+            obs::ev::cancelRunBudgetExhausted.inc();
+        std::ostringstream os;
+        os << stage << " phase pushed block past " << limit
+           << "s budget";
+        throw BlockAbort{"budget", os.str()};
+    }
+};
+
+/**
+ * One phase of one block.  Construction starts the clock and opens
+ * the profiler node (one counter-array snapshot); done() stops the
+ * clock once and feeds that measurement to every consumer: the
+ * profiler, the block trace, the flight ring's PhaseEnd event and, for
+ * budgeted phases, the block budget.  An unwinding phase only closes
+ * its profiler node, so the destructor never throws.
+ */
+class BlockPhase
+{
+  public:
+    BlockPhase(const char *name, BlockTracer &tracer,
+               BlockBudget *budget = nullptr)
+        : name_(name), tracer_(tracer), budget_(budget), scope_(name)
+    {
+    }
+
+    /** Stop the clock; feed the profiler and the trace.  Returns the
+     * phase's seconds. */
+    double
+    close()
+    {
+        const double seconds = scope_.stop();
+        tracer_.phaseDone(name_, seconds);
+        return seconds;
+    }
+
+    /** close(), then record PhaseEnd(@p a, @p b) and charge the
+     * budget (which may throw BlockAbort). */
+    double
+    done(std::uint64_t a = 0, std::uint64_t b = 0)
+    {
+        const double seconds = close();
+        obs::flight::record(obs::flight::EventKind::PhaseEnd, name_, {},
+                            a, b);
+        if (budget_)
+            budget_->charge(name_, seconds);
+        return seconds;
+    }
+
+  private:
+    const char *name_;
+    BlockTracer &tracer_;
+    BlockBudget *budget_;
+    obs::ScopedPhase scope_;
 };
 
 /** Everything one block produces, parked in its own slot until the
@@ -124,12 +204,27 @@ struct BlockOutput
     std::string reason;
 };
 
-/** Thrown inside one block's chain to request degradation; never
- * escapes processBlock. */
-struct BlockAbort
+/** The per-block distributions one lane records, named only at the
+ * post-join merge so recording stays a bucket increment. */
+struct BlockHistograms
 {
-    const char *stage;
-    std::string reason;
+    obs::Histogram insts, arenaBytes, buildNs, heurNs, schedNs, verifyNs;
+
+    /** Merge into @p out by name (bucket addition is associative, so
+     * lane assignment cannot show); a lane that ran no block adds
+     * nothing. */
+    void
+    mergeInto(obs::HistogramSet &out) const
+    {
+        const std::pair<const char *, const obs::Histogram *> named[] = {
+            {"block.insts", &insts},   {"block.arena_bytes", &arenaBytes},
+            {"lat.build_ns", &buildNs}, {"lat.heur_ns", &heurNs},
+            {"lat.sched_ns", &schedNs}, {"lat.verify_ns", &verifyNs},
+        };
+        for (const auto &[name, hist] : named)
+            if (hist->count() != 0)
+                out.get(name).merge(*hist);
+    }
 };
 
 /** Thread-private machinery of one pipeline lane. */
@@ -141,9 +236,7 @@ struct WorkerState
     /** Run-lifetime accumulation, flushed to the registry post-join. */
     obs::CounterShard accum{obs::CounterRegistry::global()};
     obs::PhaseProfiler profiler;
-    /** Per-block latency/size distributions; merged post-join (bucket
-     * addition is associative, so lane assignment cannot show). */
-    obs::HistogramSet hists;
+    BlockHistograms hists;
     /** Flight-recorder ring, claimed lazily on first chunk. */
     obs::flight::Recorder *flight = nullptr;
     /** Buffered log records, replayed post-join in block order. */
@@ -213,10 +306,10 @@ runPipeline(Program &prog, const MachineModel &machine,
     const bool obs_on = obs::enabled();
     const bool tracing = obs_on && opts.trace != nullptr;
 
-    obs::CounterSet run_before;
+    obs::CounterValues run_before;
     if (obs_on) {
         std::lock_guard<std::mutex> lock(registryBracketMutex());
-        run_before = obs::CounterRegistry::global().snapshot();
+        obs::CounterRegistry::global().snapshotInto(run_before);
     }
 
     unsigned threads = opts.threads != 0
@@ -276,7 +369,8 @@ runPipeline(Program &prog, const MachineModel &machine,
         const BasicBlock &bb = blocks[b];
         BlockView block(prog, bb);
         BlockOutput &out = outputs[b];
-        BlockTracer tracer(tracing ? &out.trace : nullptr, b, bb, w);
+        BlockTracer tracer(tracing ? &out.trace : nullptr,
+                           workers[w].blockShard.values(), b, bb, w);
 
         // Ladder rung two (last resort): the block keeps its original
         // instruction order — trivially valid, zero claimed speedup.
@@ -328,8 +422,7 @@ runPipeline(Program &prog, const MachineModel &machine,
         // later blocks; an exhausted run budget degrades every
         // remaining block immediately, so the run always ends in
         // bounded time with all blocks accounted for.
-        double budget = opts.maxBlockSeconds;
-        bool from_run_budget = false;
+        BlockBudget budget{opts.maxBlockSeconds};
         bool run_exhausted = false;
         if (opts.maxRunSeconds > 0.0) {
             const std::size_t remaining = blocks_unstarted.fetch_sub(
@@ -340,38 +433,22 @@ runPipeline(Program &prog, const MachineModel &machine,
             } else {
                 const double share =
                     left / static_cast<double>(remaining ? remaining : 1);
-                if (budget <= 0.0 || share < budget) {
-                    budget = share;
-                    from_run_budget = true;
+                if (budget.limit <= 0.0 || share < budget.limit) {
+                    budget.limit = share;
+                    budget.fromRun = true;
                 }
             }
         }
 
-        double spent = 0.0;
-        auto checkBudget = [&](const char *stage) {
-            if (budget <= 0.0)
-                return;
-            if (spent > budget) {
-                obs::ev::robustBudgetExceeded.inc();
-                if (from_run_budget)
-                    obs::ev::cancelRunBudgetExhausted.inc();
-                std::ostringstream os;
-                os << stage << " phase pushed block past " << budget
-                   << "s budget";
-                throw BlockAbort{"budget", os.str()};
-            }
-        };
-
         // Cooperative mid-loop budget enforcement: one token per
         // block, armed with the effective budget and polled inside
-        // the builder and scheduler loops.  The phase-boundary
-        // checkBudget() calls remain for the phases that do not poll
-        // (heuristics, verification).
+        // the builder and scheduler loops.  The build and heur phases
+        // also charge the budget at their boundary.
         std::optional<CancellationToken> token;
-        if (budget > 0.0 && !run_exhausted) {
-            token.emplace(budget);
+        if (budget.limit > 0.0 && !run_exhausted) {
+            token.emplace(budget.limit);
             std::ostringstream os;
-            os << "block exceeded " << budget
+            os << "block exceeded " << budget.limit
                << "s budget (cancelled mid-loop)";
             token->setReason(os.str());
         }
@@ -428,7 +505,7 @@ runPipeline(Program &prog, const MachineModel &machine,
             // rungs exactly like a genuinely pathological block; the
             // throw points exercise the containment (or, under
             // --strict / the daemon ladder, propagation) paths.
-            obs::ScopedPhase build_phase("build");
+            BlockPhase build_phase("build", tracer, &budget);
             if (fault_on) {
                 // Signal-grade points first (docs/ROBUSTNESS.md):
                 // they take the whole process down — the failure mode
@@ -499,21 +576,12 @@ runPipeline(Program &prog, const MachineModel &machine,
                 }
             }
             Dag dag = use_builder->build(block, machine, build_opts);
-            out.buildSeconds = build_phase.stop();
-            tracer.phaseDone("build", build_phase.seconds());
-            obs::flight::record(obs::flight::EventKind::PhaseEnd,
-                                "build", {}, dag.size(), dag.numArcs());
-            spent += build_phase.seconds();
-            checkBudget("build");
+            out.buildSeconds = build_phase.done(dag.size(), dag.numArcs());
 
             stage = "heur";
-            obs::ScopedPhase heur_phase("heur");
+            BlockPhase heur_phase("heur", tracer, &budget);
             runNeededPasses(dag, spec.config, opts.passImpl);
-            out.heurSeconds = heur_phase.stop();
-            tracer.phaseDone("heur", heur_phase.seconds());
-            obs::flight::record(obs::flight::EventKind::PhaseEnd, "heur");
-            spent += heur_phase.seconds();
-            checkBudget("heur");
+            out.heurSeconds = heur_phase.done();
 
             stage = "sched";
             // --explain-block: record this block's full decision log
@@ -525,17 +593,13 @@ runPipeline(Program &prog, const MachineModel &machine,
                 decision_stats.recordLog = true;
                 stats_ptr = &decision_stats;
             }
-            obs::ScopedPhase sched_phase("sched");
+            BlockPhase sched_phase("sched", tracer);
             out.sched =
                 scheduler.run(dag, stats_ptr, token ? &*token : nullptr);
-            out.schedSeconds = sched_phase.stop();
-            tracer.phaseDone("sched", sched_phase.seconds());
-            obs::flight::record(obs::flight::EventKind::PhaseEnd,
-                                "sched", {}, out.sched.order.size(),
-                                static_cast<std::uint64_t>(
-                                    out.sched.makespan < 0
-                                        ? 0
-                                        : out.sched.makespan));
+            out.schedSeconds = sched_phase.done(
+                out.sched.order.size(),
+                static_cast<std::uint64_t>(
+                    out.sched.makespan < 0 ? 0 : out.sched.makespan));
             if (stats_ptr) {
                 out.decisions = std::make_unique<DecisionTrace>();
                 out.decisions->block = static_cast<int>(b);
@@ -551,12 +615,12 @@ runPipeline(Program &prog, const MachineModel &machine,
 
             if (opts.verify) {
                 stage = "verify";
-                obs::ScopedPhase verify_phase("verify");
+                BlockPhase verify_phase("verify", tracer);
                 VerifyResult vr = verifySchedule(dag, out.sched, machine);
-                out.verifySeconds = verify_phase.stop();
-                tracer.phaseDone("verify", verify_phase.seconds());
+                out.verifySeconds = verify_phase.close();
                 // An injected rejection takes the real rejection path
-                // end to end; it only substitutes the verdict.
+                // end to end; it only substitutes the verdict, so the
+                // PhaseEnd event waits for the draw.
                 bool inject_reject =
                     fault_on &&
                     fault::shouldFire(fault::Point::VerifierReject,
@@ -582,7 +646,7 @@ runPipeline(Program &prog, const MachineModel &machine,
 
             if (opts.evaluate) {
                 stage = "evaluate";
-                obs::ScopedPhase eval_phase("evaluate");
+                BlockPhase eval_phase("evaluate", tracer);
                 // Ground truth: a timing-complete DAG.  Table-built
                 // DAGs preserve every timing constraint (Section 2),
                 // so reuse the scheduler's DAG when it came from a
@@ -617,10 +681,7 @@ runPipeline(Program &prog, const MachineModel &machine,
                         simulateSchedule(gt, out.sched.order, machine)
                             .cycles;
                 }
-                eval_phase.stop();
-                tracer.phaseDone("evaluate", eval_phase.seconds());
-                obs::flight::record(
-                    obs::flight::EventKind::PhaseEnd, "evaluate", {},
+                eval_phase.done(
                     static_cast<std::uint64_t>(out.cyclesOriginal),
                     static_cast<std::uint64_t>(out.cyclesScheduled));
             }
@@ -633,7 +694,7 @@ runPipeline(Program &prog, const MachineModel &machine,
             // for a bounded run and got one is not a fault.
             obs::ev::robustBudgetExceeded.inc();
             obs::ev::cancelBlocksCancelled.inc();
-            if (from_run_budget)
+            if (budget.fromRun)
                 obs::ev::cancelRunBudgetExhausted.inc();
             obs::flight::record(obs::flight::EventKind::Cancel, "budget",
                                 e.what());
@@ -704,22 +765,20 @@ runPipeline(Program &prog, const MachineModel &machine,
                 // allocations are still accounted (the arena resets
                 // at the next beginBlock).
                 const BlockOutput &out = outputs[b];
-                ws.hists.record("block.insts", blocks[b].size());
-                ws.hists.record("block.arena_bytes",
-                                ws.ctx.arena().bytesInUse());
-                ws.hists.record("lat.build_ns",
-                                obs::secondsToNs(out.buildSeconds));
-                ws.hists.record("lat.heur_ns",
-                                obs::secondsToNs(out.heurSeconds));
-                ws.hists.record("lat.sched_ns",
-                                obs::secondsToNs(out.schedSeconds));
-                ws.hists.record("lat.verify_ns",
-                                obs::secondsToNs(out.verifySeconds));
+                ws.hists.insts.record(blocks[b].size());
+                ws.hists.arenaBytes.record(ws.ctx.arena().bytesInUse());
+                ws.hists.buildNs.record(obs::secondsToNs(out.buildSeconds));
+                ws.hists.heurNs.record(obs::secondsToNs(out.heurSeconds));
+                ws.hists.schedNs.record(obs::secondsToNs(out.schedSeconds));
+                ws.hists.verifyNs.record(
+                    obs::secondsToNs(out.verifySeconds));
 
                 // Deterministic work score: what the outlier ranking
                 // and the CounterSnap flight event report.
                 const std::uint64_t score =
-                    obs::shardWorkScore(ws.blockShard);
+                    flight_on || ws.outliers
+                        ? obs::shardWorkScore(ws.blockShard)
+                        : 0;
                 obs::flight::record(
                     obs::flight::EventKind::CounterSnap, "work", {},
                     score);
@@ -735,7 +794,8 @@ runPipeline(Program &prog, const MachineModel &machine,
                     rec.heurSeconds = out.heurSeconds;
                     rec.schedSeconds = out.schedSeconds;
                     rec.verifySeconds = out.verifySeconds;
-                    rec.counters = ws.blockShard.snapshot().nonzero();
+                    rec.counters =
+                        ws.blockShard.values().named().nonzero();
                     rec.stage = out.fallback && !out.degraded
                                     ? "fallback"
                                     : out.stage;
@@ -844,38 +904,40 @@ runPipeline(Program &prog, const MachineModel &machine,
     // trees (both merges are kind-aware, so the result is independent
     // of how blocks were distributed over lanes).
     if (obs_on) {
-        std::lock_guard<std::mutex> lock(registryBracketMutex());
         obs::CounterRegistry &registry = obs::CounterRegistry::global();
-        obs::PhaseProfiler &profiler = obs::PhaseProfiler::active();
+        obs::CounterValues run_counts(registry);
         obs::CounterShard run_total(registry);
-        for (WorkerState &ws : workers) {
-            ws.accum.flushInto(run_total);
-            profiler.mergeFrom(ws.profiler);
-            result.histograms.merge(ws.hists);
+        {
+            std::lock_guard<std::mutex> lock(registryBracketMutex());
+            obs::PhaseProfiler &profiler = obs::PhaseProfiler::active();
+            for (WorkerState &ws : workers) {
+                ws.accum.flushInto(run_total);
+                profiler.mergeFrom(ws.profiler);
+                ws.hists.mergeInto(result.histograms);
+            }
+            // Deterministic memory gauges join the run's counters
+            // through the merged shard, so the Sum entries land in the
+            // registry delta and the Max gauge rides the peak-override
+            // below.
+            run_total.add(obs::ev::memArenaBytesAllocated.id(),
+                          result.memory.arenaBytesAllocated);
+            run_total.recordMax(obs::ev::memArenaHighWater.id(),
+                                result.memory.arenaHighWaterBytes);
+            run_total.add(obs::ev::memDagArcBytes.id(),
+                          result.memory.dagArcBytes);
+            run_total.flushInto(registry);
+            registry.snapshotInto(run_counts);
         }
-        // Deterministic memory gauges join the run's counters through
-        // the merged shard, so the Sum entries land in the registry
-        // delta and the Max gauge rides the peak-override below.
-        run_total.add(
-            registry.getOrAdd(obs::ev::memArenaBytesAllocated.name()),
-            result.memory.arenaBytesAllocated);
-        run_total.recordMax(
-            registry.getOrAdd(obs::ev::memArenaHighWater.name(),
-                              obs::CounterKind::Max),
-            result.memory.arenaHighWaterBytes);
-        run_total.add(registry.getOrAdd(obs::ev::memDagArcBytes.name()),
-                      result.memory.dagArcBytes);
-        run_total.flushInto(registry);
-        result.counters = registry.deltaSince(run_before);
+        run_counts.subtract(run_before);
         // Registry-level subtraction cannot express a per-run peak: a
         // prior run's higher Max value would zero (or understate) this
         // run's.  All in-run counting went through the shards, so the
         // merged shard holds exactly this run's peaks — report those.
-        for (std::size_t id = 0; id < registry.size(); ++id)
+        for (std::size_t id = 0; id < run_counts.size(); ++id)
             if (registry.kind(id) == obs::CounterKind::Max &&
                 run_total.value(id) != 0)
-                result.counters.set(registry.name(id),
-                                    run_total.value(id));
+                run_counts.slot(id) = run_total.value(id);
+        result.counters = run_counts.named();
     }
 
     // Lane-local top-K trackers merge into the global top-K: a block

@@ -79,20 +79,6 @@ CounterSet::nonzero() const
     return out;
 }
 
-void
-mergeCounterSets(CounterSet &into, const CounterSet &from,
-                 const CounterRegistry &registry)
-{
-    for (const CounterSet::Item &item : from.items()) {
-        if (registry.kindByName(item.first) == CounterKind::Max) {
-            if (item.second > into.value(item.first))
-                into.set(item.first, item.second);
-        } else if (item.second != 0 || !into.contains(item.first)) {
-            into.set(item.first, into.value(item.first) + item.second);
-        }
-    }
-}
-
 // --- CounterRegistry -------------------------------------------------
 
 CounterRegistry &
@@ -105,11 +91,14 @@ CounterRegistry::global()
 std::size_t
 CounterRegistry::addLocked(std::string_view name, CounterKind kind)
 {
-    std::size_t id = names_.size();
+    const std::size_t id = names_.size();
+    if (id == kCapacity)
+        panic("counter registry full (", kCapacity, ") adding '",
+              std::string(name), "'");
     names_.emplace_back(name);
-    kinds_.push_back(kind);
-    slots_.push_back(0);
+    kinds_[id] = kind;
     index_.emplace(names_.back(), id);
+    size_.store(id + 1, std::memory_order_release);
     return id;
 }
 
@@ -144,13 +133,6 @@ CounterRegistry::find(std::string_view name) const
     return findLocked(name);
 }
 
-std::size_t
-CounterRegistry::size() const
-{
-    std::lock_guard<std::mutex> lock(regMu_);
-    return names_.size();
-}
-
 CounterKind
 CounterRegistry::kindByName(std::string_view name) const
 {
@@ -169,7 +151,7 @@ void
 CounterRegistry::resetAll()
 {
     std::lock_guard<std::mutex> lock(regMu_);
-    std::fill(slots_.begin(), slots_.end(), 0);
+    std::fill_n(slots_.begin(), names_.size(), 0);
 }
 
 CounterSet
@@ -182,6 +164,12 @@ CounterRegistry::snapshot() const
     return out;
 }
 
+void
+CounterRegistry::snapshotInto(CounterValues &out) const
+{
+    out.slots_.assign(slots_.begin(), slots_.begin() + size());
+}
+
 CounterSet
 CounterRegistry::deltaSince(const CounterSet &before) const
 {
@@ -192,104 +180,87 @@ CounterRegistry::deltaSince(const CounterSet &before) const
     return out;
 }
 
-// --- CounterShard ----------------------------------------------------
+// --- CounterValues ---------------------------------------------------
+
+std::uint64_t
+CounterValues::value(std::string_view name) const
+{
+    const std::size_t id = registry_->find(name);
+    return id == CounterRegistry::npos ? 0 : value(id);
+}
 
 void
-CounterShard::clear()
+CounterValues::addDelta(const CounterValues &now,
+                        const CounterValues &before)
 {
-    std::fill(slots_.begin(), slots_.end(), 0);
+    const std::size_t n = now.slots_.size();
+    if (slots_.size() < n)
+        slots_.resize(n, 0);
+    std::uint64_t *held = slots_.data();
+    const std::uint64_t *cur = now.slots_.data();
+    const std::uint64_t *prev = before.slots_.data();
+    const CounterKind *kinds = registry_->kinds();
+    const auto step = [&](std::size_t id, std::uint64_t p) {
+        const std::uint64_t v = cur[id];
+        const std::uint64_t sum = held[id] + (v > p ? v - p : 0);
+        const std::uint64_t peak = std::max(held[id], v);
+        held[id] = kinds[id] == CounterKind::Max ? peak : sum;
+    };
+    const std::size_t common = std::min(n, before.slots_.size());
+    std::size_t id = 0;
+    for (; id < common; ++id)
+        step(id, prev[id]);
+    for (; id < n; ++id)
+        step(id, 0);
+}
+
+void
+CounterValues::subtract(const CounterValues &before)
+{
+    for (std::size_t id = 0; id < slots_.size(); ++id)
+        slots_[id] -= std::min(slots_[id], before.value(id));
 }
 
 CounterSet
-CounterShard::snapshot() const
+CounterValues::named() const
 {
-    CounterSet out;
-    for (std::size_t id = 0; id < registry_->size(); ++id)
-        out.set(registry_->name(id), value(id));
-    return out;
+    std::vector<CounterSet::Item> items;
+    items.reserve(slots_.size());
+    for (std::size_t id = 0; id < slots_.size(); ++id)
+        items.emplace_back(registry_->name(id), slots_[id]);
+    std::sort(items.begin(), items.end());
+    return CounterSet(std::move(items));
 }
 
-CounterSet
-CounterShard::deltaSince(const CounterSet &before) const
-{
-    CounterSet out;
-    for (std::size_t id = 0; id < registry_->size(); ++id) {
-        // A Max gauge is a per-interval peak: subtraction against an
-        // earlier peak is meaningless, so report the value as-is.
-        std::uint64_t v = value(id);
-        if (registry_->kind(id) == CounterKind::Sum)
-            v -= before.value(registry_->name(id));
-        out.set(registry_->name(id), v);
-    }
-    return out;
-}
+// --- CounterShard ----------------------------------------------------
 
 void
 CounterShard::flushInto(CounterShard &into) const
 {
-    for (std::size_t id = 0; id < slots_.size(); ++id) {
-        if (slots_[id] == 0)
-            continue;
-        if (registry_->kind(id) == CounterKind::Max)
-            into.recordMax(id, slots_[id]);
-        else
-            into.add(id, slots_[id]);
-    }
+    into.slots_.merge(slots_);
 }
 
 void
 CounterShard::flushInto(CounterRegistry &into) const
 {
     for (std::size_t id = 0; id < slots_.size(); ++id) {
-        if (slots_[id] == 0)
+        const std::uint64_t v = slots_.value(id);
+        if (v == 0)
             continue;
         if (registry_->kind(id) == CounterKind::Max)
-            into.recordMax(id, slots_[id]);
+            into.recordMax(id, v);
         else
-            into.increment(id, slots_[id]);
+            into.increment(id, v);
     }
 }
 
-CounterSet
-counterSetDelta(const CounterSet &now, const CounterSet &before,
-                const CounterRegistry &registry)
+CounterValues
+SnapshotDeltaTracker::advance(const CounterValues &now)
 {
-    CounterSet out;
-    for (const auto &[name, value] : now.items()) {
-        std::uint64_t v = value;
-        if (registry.kindByName(name) == CounterKind::Sum) {
-            const std::uint64_t prev = before.value(name);
-            v = v > prev ? v - prev : 0;
-        }
-        out.set(name, v);
-    }
-    return out;
-}
-
-CounterSet
-SnapshotDeltaTracker::advance(const CounterSet &now)
-{
-    CounterSet delta = counterSetDelta(now, last_, *registry_);
+    CounterValues delta(last_.registry());
+    delta.addDelta(now, last_);
     last_ = now;
     return delta;
-}
-
-// --- Thread-active helpers -------------------------------------------
-
-CounterSet
-activeSnapshot()
-{
-    if (detail::t_shard)
-        return detail::t_shard->snapshot();
-    return CounterRegistry::global().snapshot();
-}
-
-CounterSet
-activeDeltaSince(const CounterSet &before)
-{
-    if (detail::t_shard)
-        return detail::t_shard->deltaSince(before);
-    return CounterRegistry::global().deltaSince(before);
 }
 
 } // namespace sched91::obs

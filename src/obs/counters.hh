@@ -17,8 +17,12 @@
  *    increments cost a single predictable branch on the global
  *    enable flag — nothing else — so the hot paths of Tables 4/5
  *    are unaffected when observability is off (the default);
- *  - CounterSet snapshots/deltas make counters resettable per block
- *    or per phase without disturbing program-wide totals.
+ *  - CounterValues snapshots/deltas make counters resettable per
+ *    block or per phase without disturbing program-wide totals.  They
+ *    are flat arrays indexed by counter id: a snapshot is an array
+ *    copy, a delta an element-wise subtraction.  Names are attached
+ *    only when output is rendered (CounterValues::named() yields the
+ *    name-sorted CounterSet the emitters print).
  *
  * Parallel runs add one more layer: a CounterShard is a flat,
  * thread-private copy of the registry's slots.  The pipeline installs
@@ -34,6 +38,8 @@
 #define SCHED91_OBS_COUNTERS_HH
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -47,6 +53,7 @@ namespace sched91::obs
 {
 
 class CounterShard;
+class CounterValues;
 
 /** How concurrent observations of one counter combine. */
 enum class CounterKind : std::uint8_t
@@ -71,8 +78,9 @@ inline bool enabled() { return detail::g_enabled; }
 void setEnabled(bool on);
 
 /**
- * An ordered name -> value mapping: a snapshot of a registry, or a
- * delta between two snapshots.  Plain data, mergeable.
+ * An ordered name -> value mapping: the rendered form of counter
+ * values, and the name-keyed snapshot/delta of a registry for one-off
+ * brackets.  Plain data, mergeable.
  */
 class CounterSet
 {
@@ -80,6 +88,11 @@ class CounterSet
     using Item = std::pair<std::string, std::uint64_t>;
 
     CounterSet() = default;
+
+    /** Adopt @p items, already in ascending unique-name order. */
+    explicit CounterSet(std::vector<Item> items) : items_(std::move(items))
+    {
+    }
 
     /** Add (or overwrite) one entry. */
     void set(std::string name, std::uint64_t value);
@@ -123,14 +136,20 @@ class CounterSet
  * bind lazily (function-local statics on whatever thread first uses
  * an instrumented path), and a live telemetry scrape (`sched91
  * serve`'s stats endpoint) may snapshot the registry at the same
- * moment.  Id-indexed hot-path accessors (increment, value, kind,
- * slotAddress) stay lock-free: every per-id container is a deque, so
- * registration never relocates an existing slot.
+ * moment.  Id-indexed hot-path accessors (size, increment, value,
+ * kind, slotAddress, snapshotInto) stay lock-free: slots and kinds
+ * live in fixed-capacity flat arrays, so registration never relocates
+ * an existing slot, and the size is published only once the new slot
+ * exists.
  */
 class CounterRegistry
 {
   public:
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+    /** Most counters one registry holds (the library's roster is ~50;
+     * registering past this panics). */
+    static constexpr std::size_t kCapacity = 256;
 
     /** The process-wide registry the Counter handles bind to. */
     static CounterRegistry &global();
@@ -140,8 +159,9 @@ class CounterRegistry
     CounterRegistry &operator=(const CounterRegistry &) = delete;
 
     /**
-     * Register a new counter.  A duplicate name is a programming
-     * error and panics; use getOrAdd() for idempotent binding.
+     * Register a new counter.  A duplicate name, or one past
+     * kCapacity, is a programming error and panics; use getOrAdd() for
+     * idempotent binding.
      */
     std::size_t add(std::string_view name,
                     CounterKind kind = CounterKind::Sum);
@@ -153,9 +173,16 @@ class CounterRegistry
     /** Id by name, npos when absent. */
     std::size_t find(std::string_view name) const;
 
-    std::size_t size() const;
+    /** Registered counters; ids below this are valid. */
+    std::size_t size() const
+    {
+        return size_.load(std::memory_order_acquire);
+    }
+
     const std::string &name(std::size_t id) const { return names_[id]; }
     CounterKind kind(std::size_t id) const { return kinds_[id]; }
+    /** Kinds indexed by id (valid below size()). */
+    const CounterKind *kinds() const { return kinds_.data(); }
     std::uint64_t value(std::size_t id) const { return slots_[id]; }
 
     /** Kind by name; Sum when the name is not registered. */
@@ -179,8 +206,12 @@ class CounterRegistry
     /** Zero every slot (registrations are kept). */
     void resetAll();
 
-    /** Snapshot of all counters. */
+    /** Snapshot of all counters, by name. */
     CounterSet snapshot() const;
+
+    /** Snapshot of all counters, by id, into @p out (its storage is
+     * reused; the size is read once). */
+    void snapshotInto(CounterValues &out) const;
 
     /** now - before, name by name (names absent from @p before count
      * from zero). */
@@ -194,33 +225,96 @@ class CounterRegistry
     std::size_t findLocked(std::string_view name) const;
 
     /** Guards registration and the name index; by-id reads need no
-     * lock (deques keep existing elements in place on append). */
+     * lock (existing elements never move on append). */
     mutable std::mutex regMu_;
     std::deque<std::string> names_;
-    std::deque<CounterKind> kinds_;
-    std::deque<std::uint64_t> slots_; ///< deque: stable addresses
+    std::array<CounterKind, kCapacity> kinds_{};
+    std::array<std::uint64_t, kCapacity> slots_{}; ///< stable addresses
     std::map<std::string, std::size_t, std::less<>> index_;
+    std::atomic<std::size_t> size_{0};
 };
 
 /**
- * Combine @p from into @p into respecting each counter's kind as
- * registered in @p registry: Sum entries add, Max entries keep the
- * larger value.  Names unknown to the registry default to Sum.
+ * Counter values indexed by registry id: a snapshot of a registry or
+ * shard, or a delta between two.  Hot paths copy and subtract these
+ * flat arrays; names are attached only when output is rendered
+ * (named()).  Ids past size() read as zero, so an array taken before
+ * a later registration still combines with one taken after.
  */
-void mergeCounterSets(CounterSet &into, const CounterSet &from,
-                      const CounterRegistry &registry);
+class CounterValues
+{
+  public:
+    CounterValues() : CounterValues(CounterRegistry::global()) {}
 
-/**
- * Kind-aware delta between two successive snapshots of the same
- * source: Sum counters subtract (clamped at zero, so a reset source
- * never yields an underflowed delta), Max gauges report the current
- * value as-is — a high-water mark has no meaningful subtraction.
- * Names only present in @p before are dropped (their delta is zero or
- * meaningless); names unknown to @p registry default to Sum.
- */
-CounterSet counterSetDelta(const CounterSet &now,
-                           const CounterSet &before,
-                           const CounterRegistry &registry);
+    explicit CounterValues(const CounterRegistry &registry)
+        : registry_(&registry)
+    {
+    }
+
+    const CounterRegistry &registry() const { return *registry_; }
+
+    std::size_t size() const { return slots_.size(); }
+
+    /** Value by id; 0 past the end. */
+    std::uint64_t
+    value(std::size_t id) const
+    {
+        return id < slots_.size() ? slots_[id] : 0;
+    }
+
+    /** Value by name; 0 when absent.  A locked name lookup: for tests
+     * and renderers, not hot paths. */
+    std::uint64_t value(std::string_view name) const;
+
+    /** Writable slot @p id; grows the array (zero-filled) to cover
+     * it.  Growing no further keeps a shard as short as the highest id
+     * it has counted, and the roster registers the per-block 'a'/'f'/
+     * 'b'/'v' counters first, so block-level copies and deltas stay
+     * short. */
+    std::uint64_t &
+    slot(std::size_t id)
+    {
+        if (id >= slots_.size())
+            slots_.resize(id + 1, 0);
+        return slots_[id];
+    }
+
+    /** Zero every value (the size is kept). */
+    void clear() { std::fill(slots_.begin(), slots_.end(), 0); }
+
+    /**
+     * Accumulate the interval @p now - @p before, kind-aware: Sum ids
+     * add the difference, clamped at zero so a reset source never
+     * yields an underflowed delta; Max ids keep the larger of the held
+     * value and @p now's — a high-water mark has no meaningful
+     * subtraction, so a gauge reports its current peak as-is.  On an
+     * empty array this computes the delta itself; with an empty
+     * @p before it is a kind-aware merge.
+     */
+    void addDelta(const CounterValues &now, const CounterValues &before);
+
+    /** Element-wise @p before subtracted in place, clamped at zero,
+     * whatever the kinds: the delta of a source whose Max slots are
+     * run-long peaks (a registry), not per-interval ones (a shard). */
+    void subtract(const CounterValues &before);
+
+    /** Kind-aware merge: Sum ids add, Max ids keep the larger value. */
+    void
+    merge(const CounterValues &from)
+    {
+        addDelta(from, CounterValues(*registry_));
+    }
+
+    /** Every held id with its registry name, in ascending name order
+     * (zeros included; renderers drop them with nonzero()). */
+    CounterSet named() const;
+
+  private:
+    friend class CounterRegistry;
+
+    const CounterRegistry *registry_;
+    std::vector<std::uint64_t> slots_;
+};
 
 /**
  * Bookkeeping for periodic delta emission (`--snapshot-seconds`):
@@ -233,16 +327,15 @@ class SnapshotDeltaTracker
 {
   public:
     explicit SnapshotDeltaTracker(const CounterRegistry &registry)
-        : registry_(&registry)
+        : last_(registry)
     {
     }
 
     /** Delta of @p now against the previous call; remembers @p now. */
-    CounterSet advance(const CounterSet &now);
+    CounterValues advance(const CounterValues &now);
 
   private:
-    const CounterRegistry *registry_;
-    CounterSet last_;
+    CounterValues last_;
 };
 
 /**
@@ -260,42 +353,29 @@ class CounterShard
 {
   public:
     explicit CounterShard(CounterRegistry &registry)
-        : registry_(&registry)
+        : registry_(&registry), slots_(registry)
     {
     }
 
     CounterRegistry &registry() const { return *registry_; }
 
-    void
-    add(std::size_t id, std::uint64_t n)
-    {
-        grow(id);
-        slots_[id] += n;
-    }
+    void add(std::size_t id, std::uint64_t n) { slots_.slot(id) += n; }
 
     void
     recordMax(std::size_t id, std::uint64_t v)
     {
-        grow(id);
-        if (v > slots_[id])
-            slots_[id] = v;
+        std::uint64_t &slot = slots_.slot(id);
+        if (v > slot)
+            slot = v;
     }
 
-    std::uint64_t
-    value(std::size_t id) const
-    {
-        return id < slots_.size() ? slots_[id] : 0;
-    }
+    std::uint64_t value(std::size_t id) const { return slots_.value(id); }
+
+    /** This shard's values: copying them is the snapshot. */
+    const CounterValues &values() const { return slots_; }
 
     /** Zero every slot (capacity is kept for reuse). */
-    void clear();
-
-    /** All registry names with this shard's values. */
-    CounterSet snapshot() const;
-
-    /** now - before for Sum counters; for Max counters the shard value
-     * itself (a per-interval peak has no meaningful subtraction). */
-    CounterSet deltaSince(const CounterSet &before) const;
+    void clear() { slots_.clear(); }
 
     /** Fold this shard into another (kind-aware); both must mirror the
      * same registry. */
@@ -305,15 +385,8 @@ class CounterShard
     void flushInto(CounterRegistry &into) const;
 
   private:
-    void
-    grow(std::size_t id)
-    {
-        if (id >= slots_.size())
-            slots_.resize(std::max(registry_->size(), id + 1), 0);
-    }
-
     CounterRegistry *registry_;
-    std::vector<std::uint64_t> slots_;
+    CounterValues slots_;
 };
 
 /** RAII installer: route this thread's counter traffic into @p shard. */
@@ -334,14 +407,6 @@ class ScopedCounterShard
   private:
     CounterShard *prev_;
 };
-
-/** Snapshot of whatever the calling thread's increments land in: the
- * installed shard if any, else the global registry. */
-CounterSet activeSnapshot();
-
-/** Delta against activeSnapshot()'s source (see CounterShard's note on
- * Max counters). */
-CounterSet activeDeltaSince(const CounterSet &before);
 
 /**
  * Cheap instrumentation handle bound to one registry slot.  Intended
@@ -392,6 +457,7 @@ class Counter
     }
 
     std::uint64_t value() const { return *slot_; }
+    std::size_t id() const { return id_; }
     const char *name() const { return name_; }
 
   private:

@@ -151,7 +151,7 @@ writePhaseTree(JsonWriter &w, const PhaseStats &node, bool zero_times)
         .key("entries").value(node.entries)
         .key("seconds").value(zero_times ? 0.0 : node.seconds);
     w.key("counters");
-    writeCounterSet(w, node.counters);
+    writeCounterSet(w, node.counters.named());
     w.key("children").beginArray();
     for (const PhaseStats &child : node.children)
         writePhaseTree(w, child, zero_times);

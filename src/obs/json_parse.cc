@@ -110,9 +110,29 @@ class Parser
         }
     }
 
+    /** Counts one nesting level for the life of a parseObject or
+     * parseArray frame. */
+    class Nest
+    {
+      public:
+        explicit Nest(Parser &p) : p_(p)
+        {
+            if (p_.depth_ == kMaxJsonDepth)
+                p_.fail("nesting too deep");
+            ++p_.depth_;
+        }
+        ~Nest() { --p_.depth_; }
+        Nest(const Nest &) = delete;
+        Nest &operator=(const Nest &) = delete;
+
+      private:
+        Parser &p_;
+    };
+
     JsonValue
     parseObject()
     {
+        Nest nest(*this);
         expect('{');
         JsonValue::Object obj;
         if (peek() != '}') {
@@ -132,6 +152,7 @@ class Parser
     JsonValue
     parseArray()
     {
+        Nest nest(*this);
         expect('[');
         JsonValue::Array arr;
         if (peek() != ']') {
@@ -225,6 +246,7 @@ class Parser
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;
 };
 
 } // namespace

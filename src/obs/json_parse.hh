@@ -10,12 +10,15 @@
  *
  * Malformed input throws FatalError with a character offset, so tools
  * built on this (tools/bench_compare.cc) report bad files cleanly
- * under the exit-code contract instead of asserting.
+ * under the exit-code contract instead of asserting.  So does nesting
+ * deeper than kMaxJsonDepth: the parser recurses once per level, and
+ * `sched91 serve` decodes untrusted request lines with it.
  */
 
 #ifndef SCHED91_OBS_JSON_PARSE_HH
 #define SCHED91_OBS_JSON_PARSE_HH
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <string_view>
@@ -71,8 +74,13 @@ class JsonValue
                       const std::string &fallback) const;
 };
 
-/** Parse one JSON document; throws FatalError on malformed input or
- * trailing garbage. */
+/** Deepest object/array nesting parseJson accepts.  Far above any
+ * document this repository writes, far below what exhausts a thread's
+ * stack (~10,000 levels on an 8 MiB stack). */
+constexpr std::size_t kMaxJsonDepth = 256;
+
+/** Parse one JSON document; throws FatalError on malformed input,
+ * trailing garbage or nesting deeper than kMaxJsonDepth. */
 JsonValue parseJson(std::string_view text);
 
 } // namespace sched91::obs

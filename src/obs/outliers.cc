@@ -15,12 +15,12 @@ namespace sched91::obs
 std::uint64_t
 shardWorkScore(const CounterShard &shard)
 {
-    const CounterRegistry &reg = shard.registry();
+    const CounterKind *kinds = shard.registry().kinds();
+    const CounterValues &values = shard.values();
     std::uint64_t score = 0;
-    for (std::size_t id = 0; id < reg.size(); ++id) {
-        if (reg.kind(id) == CounterKind::Sum)
-            score += shard.value(id);
-    }
+    for (std::size_t id = 0; id < values.size(); ++id)
+        if (kinds[id] == CounterKind::Sum)
+            score += values.value(id);
     return score;
 }
 

@@ -30,10 +30,10 @@ PhaseProfiler::active()
 void
 PhaseProfiler::clear()
 {
-    SCHED91_ASSERT(stack_.empty(),
+    SCHED91_ASSERT(depth_ == 0,
                    "cannot clear the phase tree with phases open");
     root_.children.clear();
-    root_.counters = CounterSet{};
+    root_.counters = CounterValues{};
     root_.entries = 0;
     root_.seconds = 0.0;
 }
@@ -55,8 +55,7 @@ mergeNode(PhaseStats &into, const PhaseStats &from)
 {
     into.entries += from.entries;
     into.seconds += from.seconds;
-    mergeCounterSets(into.counters, from.counters,
-                     CounterRegistry::global());
+    into.counters.merge(from.counters);
     for (const PhaseStats &fc : from.children) {
         PhaseStats *ic = nullptr;
         for (PhaseStats &c : into.children)
@@ -78,41 +77,59 @@ mergeNode(PhaseStats &into, const PhaseStats &from)
 void
 PhaseProfiler::mergeFrom(const PhaseProfiler &other)
 {
-    SCHED91_ASSERT(stack_.empty() && other.stack_.empty(),
+    SCHED91_ASSERT(depth_ == 0 && other.depth_ == 0,
                    "cannot merge phase trees with phases open");
     mergeNode(root_, other.root_);
 }
 
-PhaseStats *
+void
 PhaseProfiler::enter(const char *name)
 {
-    PhaseStats *parent = stack_.empty() ? &root_ : stack_.back();
+    PhaseStats *parent = depth_ == 0 ? &root_ : frames_[depth_ - 1].node;
     PhaseStats *node = nullptr;
     for (PhaseStats &c : parent->children)
-        if (c.name == name) {
+        if (c.key == name || c.name == name) {
             node = &c;
             break;
         }
-    if (!node) {
+    if (node) {
+        node->key = name;
+    } else {
         // Only the innermost open phase ever grows children, so this
         // push_back cannot invalidate any pointer still on the stack.
         parent->children.push_back(PhaseStats{});
         node = &parent->children.back();
         node->name = name;
+        node->key = name;
     }
     ++node->entries;
-    stack_.push_back(node);
-    return node;
+    if (depth_ == frames_.size())
+        frames_.emplace_back();
+    Frame &frame = frames_[depth_++];
+    frame.node = node;
+    // The values this thread's increments land in: its shard, else
+    // the global registry.
+    if (const CounterShard *shard = detail::t_shard)
+        frame.before = shard->values();
+    else
+        CounterRegistry::global().snapshotInto(frame.before);
 }
 
 void
-PhaseProfiler::exit(double seconds, const CounterSet &delta)
+PhaseProfiler::exit(double seconds)
 {
-    SCHED91_ASSERT(!stack_.empty(), "phase exit without enter");
-    PhaseStats *node = stack_.back();
-    stack_.pop_back();
-    node->seconds += seconds;
-    mergeCounterSets(node->counters, delta, CounterRegistry::global());
+    SCHED91_ASSERT(depth_ != 0, "phase exit without enter");
+    Frame &frame = frames_[--depth_];
+    frame.node->seconds += seconds;
+    if (const CounterShard *shard = detail::t_shard) {
+        frame.node->counters.addDelta(shard->values(), frame.before);
+        return;
+    }
+    // A registry's Max slots are run-long peaks, not this phase's:
+    // subtract them like Sums.
+    CounterRegistry::global().snapshotInto(scratch_);
+    scratch_.subtract(frame.before);
+    frame.node->counters.merge(scratch_);
 }
 
 ScopedPhase::ScopedPhase(const char *name, PhaseProfiler &profiler)
@@ -120,7 +137,6 @@ ScopedPhase::ScopedPhase(const char *name, PhaseProfiler &profiler)
 {
     if (enabled()) {
         profiler_.enter(name);
-        before_ = activeSnapshot();
         open_ = true;
     }
 }
@@ -141,7 +157,7 @@ ScopedPhase::stop()
     elapsed_ = seconds();
     stopped_ = true;
     if (open_) {
-        profiler_.exit(elapsed_, activeDeltaSince(before_));
+        profiler_.exit(elapsed_);
         open_ = false;
     }
     return elapsed_;

@@ -9,8 +9,10 @@
  * same cost the Timer had), and only when the observability layer is
  * enabled does it additionally maintain the phase tree and snapshot
  * the thread's active counter source to attribute event deltas to
- * phases.  Deltas are *inclusive*: a parent phase's counters include
- * those of its children.
+ * phases.  The snapshot is one id-indexed array copy into a buffer
+ * the profiler keeps per nesting depth, so a warm profiler enters and
+ * exits phases without allocating.  Deltas are *inclusive*: a parent
+ * phase's counters include those of its children.
  *
  * Phases record into the thread's *active* profiler: normally the
  * process-wide one, but the parallel pipeline installs a private
@@ -43,9 +45,12 @@ inline thread_local PhaseProfiler *t_profiler = nullptr;
 struct PhaseStats
 {
     std::string name;
+    /** The literal the phase was last entered with: a pointer match
+     * skips the string compare on re-entry. */
+    const char *key = nullptr;
     std::uint64_t entries = 0; ///< times the phase was entered
     double seconds = 0.0;      ///< total wall-clock across entries
-    CounterSet counters;       ///< inclusive counter deltas
+    CounterValues counters;    ///< inclusive counter deltas
     std::vector<PhaseStats> children;
 
     /** Child by name, nullptr when absent. */
@@ -90,11 +95,23 @@ class PhaseProfiler
   private:
     friend class ScopedPhase;
 
-    PhaseStats *enter(const char *name);
-    void exit(double seconds, const CounterSet &delta);
+    /** An open phase: its tree node and the active counter values
+     * when it was entered. */
+    struct Frame
+    {
+        PhaseStats *node = nullptr;
+        CounterValues before;
+    };
+
+    void enter(const char *name);
+    void exit(double seconds);
 
     PhaseStats root_;
-    std::vector<PhaseStats *> stack_; ///< open-phase path, root absent
+    /** Open-phase path, root absent: frames_[0, depth_).  Frames past
+     * depth_ keep their buffers for reuse. */
+    std::vector<Frame> frames_;
+    std::size_t depth_ = 0;
+    CounterValues scratch_; ///< exit-time delta when no shard is set
 };
 
 /** RAII installer: this thread's phases record into @p profiler. */
@@ -147,7 +164,6 @@ class ScopedPhase
     PhaseProfiler &profiler_;
     Clock::time_point start_;
     double elapsed_ = 0.0; ///< valid once stopped
-    CounterSet before_;    ///< active-source snapshot (enabled runs)
     bool open_ = false;    ///< tree node pending an exit()
     bool stopped_ = false;
 };

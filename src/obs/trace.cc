@@ -17,7 +17,7 @@ JsonlTraceSink::event(const TraceEvent &ev)
         .key("seconds").value(zeroTimes_ ? 0.0 : ev.seconds);
     w.key("counters").beginObject();
     // Named binding: items() references the set's own storage.
-    CounterSet nz = ev.counters.nonzero();
+    CounterSet nz = ev.counters.named().nonzero();
     for (const auto &[name, value] : nz.items())
         w.key(name).value(value);
     w.endObject().endObject();

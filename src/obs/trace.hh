@@ -35,7 +35,7 @@ struct TraceEvent
      * JsonlTraceSink — lane assignment varies with thread count, and
      * JSONL traces are byte-compared across thread counts. */
     unsigned worker = 0;
-    CounterSet counters;       ///< event deltas within the phase
+    CounterValues counters;    ///< event deltas within the phase
 };
 
 /** Abstract consumer of trace events. */

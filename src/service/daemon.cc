@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include "core/pipeline.hh"
+#include "obs/events.hh"
 #include "obs/exposition.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/json.hh"
@@ -117,6 +118,10 @@ Daemon::Daemon(DaemonConfig config)
     : config_(std::move(config)), engine_(config_.engine),
       queue_(config_.queueCapacity)
 {
+    // Made before any thread can call requestDrain(), so its write
+    // never races run() creating the pipe, nor finds it missing.
+    if (::pipe(wakePipe_) < 0)
+        fatal("serve: pipe(): ", std::strerror(errno));
 }
 
 Daemon::~Daemon()
@@ -166,8 +171,6 @@ Daemon::run()
               "'): ", std::strerror(errno));
     if (::listen(listenFd_, 64) < 0)
         fatal("serve: listen(): ", std::strerror(errno));
-    if (::pipe(wakePipe_) < 0)
-        fatal("serve: pipe(): ", std::strerror(errno));
 
     unsigned lanes = config_.workers != 0
                          ? config_.workers
@@ -182,7 +185,7 @@ Daemon::run()
         obs::flight::setExternallyManaged(true);
     }
     if (obs::enabled())
-        statsBefore_ = obs::CounterRegistry::global().snapshot();
+        obs::CounterRegistry::global().snapshotInto(statsBefore_);
 
     slots_.clear();
     for (unsigned i = 0; i < lanes; ++i) {
@@ -523,49 +526,51 @@ Daemon::workerLoop(unsigned lane)
     }
 }
 
-obs::CounterSet
+obs::CounterValues
 Daemon::liveCounters()
 {
-    obs::CounterSet set;
+    obs::CounterValues set;
     if (obs::enabled()) {
-        obs::CounterSet now;
+        obs::CounterValues now;
         {
             // The pipeline's post-join reduction flushes shards into
             // the global registry under this lock; taking it makes a
             // mid-run snapshot consistent instead of half-reduced.
             std::lock_guard<std::mutex> lock(registryBracketMutex());
-            now = obs::CounterRegistry::global().snapshot();
+            obs::CounterRegistry::global().snapshotInto(now);
         }
-        set = counterSetDelta(now, statsBefore_,
-                              obs::CounterRegistry::global());
+        set.addDelta(now, statsBefore_);
     }
     // svc.* tallies live in plain atomics until the drain-time flush;
     // overlay them so live scrapes and the final document agree.
     const SvcCounters &c = engine_.counters();
-    set.set("svc.requests_accepted", c.accepted.load());
-    set.set("svc.requests_rejected", c.rejected.load());
-    set.set("svc.requests_ok", c.ok.load());
-    set.set("svc.requests_degraded", c.degraded.load());
-    set.set("svc.requests_error", c.error.load());
-    set.set("svc.rejected_after_admit", c.rejectedAfterAdmit.load());
-    set.set("svc.retries", c.retries.load());
-    set.set("svc.degraded_fallbacks", c.degradedFallbacks.load());
-    set.set("svc.quarantine_adds", c.quarantineAdds.load());
-    set.set("svc.quarantine_hits", c.quarantineHits.load());
-    set.set("svc.deadline_expired", c.deadlineExpired.load());
+    const auto overlay = [&set](const obs::Counter &counter,
+                                const std::atomic<std::uint64_t> &v) {
+        set.slot(counter.id()) = v.load();
+    };
+    overlay(obs::ev::svcRequestsAccepted, c.accepted);
+    overlay(obs::ev::svcRequestsRejected, c.rejected);
+    overlay(obs::ev::svcRequestsOk, c.ok);
+    overlay(obs::ev::svcRequestsDegraded, c.degraded);
+    overlay(obs::ev::svcRequestsError, c.error);
+    overlay(obs::ev::svcRejectedAfterAdmit, c.rejectedAfterAdmit);
+    overlay(obs::ev::svcRetries, c.retries);
+    overlay(obs::ev::svcDegradedFallbacks, c.degradedFallbacks);
+    overlay(obs::ev::svcQuarantineAdds, c.quarantineAdds);
+    overlay(obs::ev::svcQuarantineHits, c.quarantineHits);
+    overlay(obs::ev::svcDeadlineExpired, c.deadlineExpired);
     if (config_.isolateProcess) {
-        set.set("svc.worker_crashes", c.workerCrashes.load());
-        set.set("svc.worker_kills", c.workerKills.load());
-        set.set("svc.worker_respawns", c.workerRespawns.load());
-        set.set("svc.worker_spawn_failures",
-                c.workerSpawnFailures.load());
+        overlay(obs::ev::svcWorkerCrashes, c.workerCrashes);
+        overlay(obs::ev::svcWorkerKills, c.workerKills);
+        overlay(obs::ev::svcWorkerRespawns, c.workerRespawns);
+        overlay(obs::ev::svcWorkerSpawnFailures, c.workerSpawnFailures);
     }
     return set;
 }
 
 std::string
 Daemon::statsDocument(const std::string &id,
-                      const obs::CounterSet *delta)
+                      const obs::CounterValues *delta)
 {
     obs::HistogramSet hists;
     {
@@ -645,7 +650,7 @@ Daemon::statsDocument(const std::string &id,
     if (obs::enabled()) {
         // Bind the set before iterating: items() is a view into its
         // owner, and a temporary would be gone before the loop body.
-        const obs::CounterSet live = liveCounters().nonzero();
+        const obs::CounterSet live = liveCounters().named().nonzero();
         w.key("counters").beginObject();
         for (const auto &[name, value] : live.items())
             w.key(name).value(value);
@@ -653,7 +658,7 @@ Daemon::statsDocument(const std::string &id,
     }
 
     if (delta != nullptr) {
-        const obs::CounterSet changed = delta->nonzero();
+        const obs::CounterSet changed = delta->named().nonzero();
         w.key("delta").beginObject();
         for (const auto &[name, value] : changed.items())
             w.key(name).value(value);
@@ -686,7 +691,7 @@ Daemon::prometheusDocument()
         std::lock_guard<std::mutex> lock(publishMu_);
         hists = publishedHists_;
     }
-    const obs::CounterSet counters = liveCounters().nonzero();
+    const obs::CounterSet counters = liveCounters().named().nonzero();
 
     obs::PromDoc doc;
     doc.counters = &counters;
@@ -802,7 +807,7 @@ Daemon::snapshotLoop()
         lock.unlock();
         // One tick per interval — and one final tick on stop, so the
         // last snapshot line covers everything the daemon answered.
-        obs::CounterSet delta = tracker.advance(liveCounters());
+        const obs::CounterValues delta = tracker.advance(liveCounters());
         lines.push_back(statsDocument("", &delta));
         writeAll();
         if (stopping)

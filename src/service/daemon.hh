@@ -187,7 +187,7 @@ class Daemon
      * mode).
      */
     std::string statsDocument(const std::string &id,
-                              const obs::CounterSet *delta);
+                              const obs::CounterValues *delta);
 
     /** Prometheus text exposition of the same telemetry. */
     std::string prometheusDocument();
@@ -198,7 +198,7 @@ class Daemon
     /** Counter telemetry for stats/exposition: the registry delta
      * since daemon start (bracket-locked against concurrent pipeline
      * flushes) overlaid with the live svc.* service tallies. */
-    obs::CounterSet liveCounters();
+    obs::CounterValues liveCounters();
 
     void snapshotLoop();
     void emitFinalStats();
@@ -217,7 +217,7 @@ class Daemon
     std::vector<std::thread> readers_;
 
     std::vector<std::unique_ptr<WorkerSlot>> slots_;
-    obs::CounterSet statsBefore_;
+    obs::CounterValues statsBefore_;
 
     // --- Live telemetry ---------------------------------------------
     obs::ServiceTraceLog traceLog_;

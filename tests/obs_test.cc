@@ -289,6 +289,134 @@ TEST(CounterSet, MergeAndNonzero)
     EXPECT_EQ(nz.size(), 2u);
 }
 
+// ---------------------------------------------------------------------
+// CounterValues: id-indexed snapshots and deltas
+// ---------------------------------------------------------------------
+
+TEST(CounterValues, SumDeltasClampAtZero)
+{
+    obs::CounterRegistry reg;
+    std::size_t a = reg.add("a");
+    reg.increment(a, 7);
+    obs::CounterValues before(reg);
+    reg.snapshotInto(before);
+
+    reg.resetAll(); // the source went backwards
+    reg.increment(a, 2);
+    obs::CounterValues now(reg);
+    reg.snapshotInto(now);
+
+    obs::CounterValues delta(reg);
+    delta.addDelta(now, before);
+    EXPECT_EQ(delta.value(a), 0u) << "never an underflowed delta";
+
+    reg.increment(a, 10);
+    reg.snapshotInto(now);
+    delta.addDelta(now, before);
+    EXPECT_EQ(delta.value(a), 5u) << "12 - 7, accumulated onto 0";
+
+    now.subtract(before);
+    EXPECT_EQ(now.value(a), 5u);
+    now.subtract(before);
+    EXPECT_EQ(now.value(a), 0u) << "subtract clamps too";
+}
+
+TEST(CounterValues, MaxGaugesReportAsIs)
+{
+    obs::CounterRegistry reg;
+    std::size_t peak = reg.add("peak", obs::CounterKind::Max);
+    std::size_t sum = reg.add("sum");
+    obs::CounterShard shard(reg);
+    shard.recordMax(peak, 9);
+    shard.add(sum, 4);
+    const obs::CounterValues before = shard.values();
+
+    shard.clear(); // a new interval: the gauge restarts lower
+    shard.recordMax(peak, 5);
+    shard.add(sum, 3);
+    obs::CounterValues delta(reg);
+    delta.addDelta(shard.values(), before);
+    EXPECT_EQ(delta.value(peak), 5u) << "the interval's peak, not 5 - 9";
+    EXPECT_EQ(delta.value(sum), 0u);
+
+    // Merging keeps the higher peak and adds the sums.
+    obs::CounterValues merged(reg);
+    merged.merge(before);
+    merged.merge(shard.values());
+    EXPECT_EQ(merged.value(peak), 9u);
+    EXPECT_EQ(merged.value(sum), 7u);
+
+    obs::SnapshotDeltaTracker tracker(reg);
+    EXPECT_EQ(tracker.advance(before).value(peak), 9u);
+    EXPECT_EQ(tracker.advance(shard.values()).value(peak), 5u);
+}
+
+TEST(CounterValues, NamedRendersInTheOldCounterSetOrder)
+{
+    obs::CounterRegistry reg;
+    // Registration order deliberately unlike name order.
+    const char *names[] = {"z.last", "a.first", "m.mid", "a.b", "Z.upper"};
+    for (const char *name : names)
+        reg.increment(reg.add(name), std::string_view(name).size());
+    reg.add("zero");
+
+    obs::CounterValues values(reg);
+    reg.snapshotInto(values);
+    const obs::CounterSet named = values.named();
+    EXPECT_TRUE(named == reg.snapshot())
+        << "ids render exactly as the name-keyed snapshot";
+    std::vector<std::string> order;
+    for (const auto &[name, value] : named.items())
+        order.push_back(name);
+    EXPECT_EQ(order, (std::vector<std::string>{"Z.upper", "a.b", "a.first",
+                                               "m.mid", "z.last", "zero"}));
+    EXPECT_EQ(named.value("zero"), 0u);
+    EXPECT_FALSE(named.nonzero().contains("zero"));
+    EXPECT_EQ(values.value("m.mid"), 5u);
+    EXPECT_EQ(values.value("missing"), 0u);
+}
+
+TEST(CounterValues, PrivateRegistryWithAdHocNamesStillCounts)
+{
+    ObsStateGuard guard;
+    obs::setEnabled(true);
+    obs::CounterRegistry reg;
+    obs::Counter hits(reg, "adhoc.hits");
+    obs::CounterValues before(reg);
+    reg.snapshotInto(before);
+    const obs::CounterSet beforeByName = reg.snapshot();
+
+    // A shard of another registry installed: the handle bypasses it.
+    obs::CounterShard globalShard(obs::CounterRegistry::global());
+    {
+        obs::ScopedCounterShard scope(globalShard);
+        hits.inc(3);
+    }
+    EXPECT_EQ(reg.valueByName("adhoc.hits"), 3u);
+
+    // Its own registry's shard installed: increments land there.
+    obs::CounterShard shard(reg);
+    {
+        obs::ScopedCounterShard scope(shard);
+        hits.inc(4);
+    }
+    EXPECT_EQ(shard.values().value("adhoc.hits"), 4u);
+    EXPECT_EQ(reg.valueByName("adhoc.hits"), 3u);
+    shard.flushInto(reg);
+
+    // Registered after the snapshot: counts from zero.
+    obs::Counter late(reg, "adhoc.late");
+    late.inc(2);
+    obs::CounterValues now(reg);
+    reg.snapshotInto(now);
+    EXPECT_EQ(before.size(), 1u);
+    obs::CounterValues delta(reg);
+    delta.addDelta(now, before);
+    EXPECT_EQ(delta.value("adhoc.hits"), 7u);
+    EXPECT_EQ(delta.value("adhoc.late"), 2u);
+    EXPECT_TRUE(delta.named() == reg.deltaSince(beforeByName));
+}
+
 TEST(Counter, HandleCountsOnlyWhenEnabled)
 {
     ObsStateGuard guard;

@@ -42,6 +42,7 @@
 #include "obs/chrome_trace.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/json_parse.hh"
+#include "obs/phase.hh"
 #include "service/bounded_queue.hh"
 #include "service/daemon.hh"
 #include "service/engine.hh"
@@ -271,6 +272,30 @@ TEST(Protocol, RejectsMalformedRequests)
         "{\"source\":\"\",\"algorithm\":\"bogus\"}", error));
     EXPECT_FALSE(service::parseRequestLine(
         "{\"source\":\"\",\"deadline_ms\":-1}", error));
+}
+
+TEST(Protocol, NestingDepthIsCappedWithoutRecursingFurther)
+{
+    const auto nested = [](std::size_t depth) {
+        std::string doc;
+        for (std::size_t i = 0; i < depth; ++i)
+            doc += "{\"k\":";
+        doc += "0";
+        doc.append(depth, '}');
+        return doc;
+    };
+    EXPECT_NO_THROW(obs::parseJson(nested(obs::kMaxJsonDepth)));
+    EXPECT_THROW(obs::parseJson(nested(obs::kMaxJsonDepth + 1)),
+                 FatalError);
+    const std::string arrays(obs::kMaxJsonDepth + 1, '[');
+    EXPECT_THROW(obs::parseJson(arrays + std::string(arrays.size(), ']')),
+                 FatalError);
+
+    // Far past the cap (deep enough to overflow the stack if each
+    // level recursed): a clean error, not a crash.
+    std::string error;
+    EXPECT_FALSE(service::parseRequestLine(nested(50000), error));
+    EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
 }
 
 TEST(Protocol, ResponseLinesRoundTripThroughTheJsonParser)
@@ -556,6 +581,267 @@ TEST(EngineLadder, FaultsDoNotLeakAcrossRequests)
 }
 
 // ---------------------------------------------------------------------------
+// Phase scopes on the unwind paths, with observation on as `sched91
+// serve` runs it (the daemon runs pipelines with containFaults off, so
+// anything a phase scope throws while unwinding would surface as a
+// retry or a degraded answer).
+
+namespace
+{
+
+/** Observation on (and an empty phase tree) for the test's duration;
+ * fault injection disarmed on both sides. */
+struct ObservedGuard
+{
+    ObservedGuard()
+    {
+        fault::reset();
+        obs::setEnabled(true);
+        obs::PhaseProfiler::global().clear();
+    }
+    ~ObservedGuard()
+    {
+        fault::reset();
+        obs::setEnabled(false);
+    }
+};
+
+/** The parts of an answer the ladder decides. */
+std::string
+ladderVerdict(const obs::JsonValue &doc)
+{
+    std::ostringstream os;
+    os << doc.strOr("status", "") << " attempts "
+       << doc.numberOr("attempts", -1) << " degraded_blocks "
+       << doc.numberOr("degraded_blocks", -1) << " cycles "
+       << doc.numberOr("cycles_scheduled", -1);
+    return os.str();
+}
+
+/** Answer @p spec with observation off, then on (fresh engines), and
+ * return both verdicts. */
+std::pair<std::string, std::string>
+verdictsOffAndOn(const service::RequestSpec &spec, double remaining = 0.0)
+{
+    std::pair<std::string, std::string> out;
+    obs::setEnabled(false);
+    {
+        service::Engine engine{service::EngineConfig{}};
+        out.first = ladderVerdict(processToJson(engine, spec, remaining));
+    }
+    obs::setEnabled(true);
+    {
+        service::Engine engine{service::EngineConfig{}};
+        out.second =
+            ladderVerdict(processToJson(engine, spec, remaining));
+    }
+    return out;
+}
+
+/** Whether every phase the calling thread opened was closed. */
+bool
+phasesBalanced()
+{
+    try {
+        obs::PhaseProfiler::global().clear();
+        return true;
+    } catch (const PanicError &) {
+        return false;
+    }
+}
+
+std::uint64_t
+registryValue(const char *name)
+{
+    return obs::CounterRegistry::global().valueByName(name);
+}
+
+} // namespace
+
+TEST(EngineLadder, ObservedCleanRequestsAnswerAsUnobserved)
+{
+    ObservedGuard guard;
+    fuzz::GenParams params;
+    params.numBlocks = 4;
+    params.maxBlockSize = 40;
+    for (BuilderKind builder : allBuilderKinds())
+        for (AlgorithmKind algorithm : allAlgorithms()) {
+            params.seed += 1;
+            service::RequestSpec spec =
+                specFor(fuzz::generateSource(params));
+            spec.builder = builder;
+            spec.algorithm = algorithm;
+            spec.evaluate = true;
+            const auto [off, on] = verdictsOffAndOn(spec);
+            EXPECT_EQ(on, off) << builderKindName(builder) << " x "
+                               << algorithmName(algorithm);
+            EXPECT_EQ(on.rfind("ok ", 0), 0u) << on;
+        }
+    EXPECT_TRUE(phasesBalanced());
+}
+
+TEST(EngineLadder, ObservedFaultRungsAnswerAsUnobserved)
+{
+    ObservedGuard guard;
+    struct Case
+    {
+        fault::Point point;
+        double remaining;
+    };
+    const Case cases[] = {
+        {fault::Point::BuilderThrow, 0.0},   // propagates, every rung
+        {fault::Point::AllocFail, 0.0},      // bad_alloc propagates
+        {fault::Point::VerifierReject, 0.0}, // panics past the verify phase
+        {fault::Point::SlowBlock, 0.010},    // budget rung
+    };
+    for (const Case &c : cases) {
+        fault::Config config;
+        config.rate[static_cast<std::size_t>(c.point)] = 1.0;
+        config.slowBlockMs = 30;
+        fault::configure(config);
+        service::RequestSpec spec = specFor(kSource);
+        spec.evaluate = true;
+        const auto [off, on] = verdictsOffAndOn(spec, c.remaining);
+        EXPECT_EQ(on, off) << fault::pointName(c.point);
+        EXPECT_EQ(on.rfind("degraded ", 0), 0u)
+            << fault::pointName(c.point) << ": " << on;
+        EXPECT_TRUE(phasesBalanced()) << fault::pointName(c.point);
+    }
+}
+
+TEST(PhaseScopeUnwind, BlockAbortClosesPhasesAndKeepsCounts)
+{
+    ObservedGuard guard;
+    // A verifier rejection under containment: the verify phase closes,
+    // then BlockAbort unwinds past the build, heur and sched scopes.
+    fault::Config config;
+    config.rate[static_cast<std::size_t>(fault::Point::VerifierReject)] =
+        1.0;
+    fault::configure(config);
+    Program prog = parseAssembly(kSource);
+    PipelineOptions opts;
+    opts.threads = 1;
+    const ProgramResult r = runPipeline(prog, presetByName("sparcstation2"),
+                                        opts);
+    EXPECT_EQ(r.blocksDegraded, 1u);
+    ASSERT_EQ(r.blockIssues.size(), 1u);
+    EXPECT_EQ(r.blockIssues[0].stage, "verify");
+    EXPECT_EQ(r.counters.value("robust.verifier_rejections"), 1u);
+    EXPECT_EQ(r.counters.value("robust.blocks_degraded"), 1u);
+    EXPECT_GT(r.counters.value("dag.arcs_added"), 0u);
+
+    const obs::PhaseStats &root = obs::PhaseProfiler::global().root();
+    for (const char *phase : {"build", "heur", "sched", "verify"}) {
+        const obs::PhaseStats *node = root.child(phase);
+        ASSERT_NE(node, nullptr) << phase;
+        EXPECT_EQ(node->entries, 1u) << phase;
+    }
+    EXPECT_EQ(root.child("evaluate"), nullptr);
+    EXPECT_EQ(root.child("build")->counters.value("dag.arcs_added"),
+              r.counters.value("dag.arcs_added"));
+    EXPECT_TRUE(phasesBalanced());
+}
+
+TEST(PhaseScopeUnwind, BudgetChargeAbortsAfterTheBuildPhase)
+{
+    ObservedGuard guard;
+    // A 30 ms stall charged to build against a 5 ms budget: the block
+    // is too small for the builder to poll its token, so the build
+    // phase's own budget charge throws BlockAbort.
+    fault::Config config;
+    config.rate[static_cast<std::size_t>(fault::Point::SlowBlock)] = 1.0;
+    config.slowBlockMs = 30;
+    fault::configure(config);
+    Program prog = parseAssembly(kSource);
+    PipelineOptions opts;
+    opts.threads = 1;
+    opts.maxBlockSeconds = 0.005;
+    opts.containFaults = false; // budget overruns degrade even so
+    const ProgramResult r = runPipeline(prog, presetByName("sparcstation2"),
+                                        opts);
+    ASSERT_EQ(r.blockIssues.size(), 1u);
+    EXPECT_EQ(r.blockIssues[0].stage, "budget");
+    EXPECT_NE(r.blockIssues[0].reason.find("build phase pushed block"),
+              std::string::npos)
+        << r.blockIssues[0].reason;
+    EXPECT_EQ(r.counters.value("robust.block_budget_exceeded"), 1u);
+    const obs::PhaseStats *build =
+        obs::PhaseProfiler::global().root().child("build");
+    ASSERT_NE(build, nullptr);
+    EXPECT_EQ(build->entries, 1u);
+    EXPECT_EQ(obs::PhaseProfiler::global().root().child("heur"), nullptr);
+    EXPECT_TRUE(phasesBalanced());
+}
+
+TEST(PhaseScopeUnwind, CancelledErrorUnwindsAnOpenBuildPhase)
+{
+    ObservedGuard guard;
+    std::string src = "top:\n";
+    for (int i = 0; i < 400; ++i)
+        src += "    add %g1, %g2, %g3\n";
+    Program prog = parseAssembly(src);
+    PipelineOptions opts;
+    opts.builder = BuilderKind::N2Forward;
+    opts.threads = 1;
+    opts.maxBlockSeconds = 1e-9; // expires before the first poll
+    opts.containFaults = false;
+    const ProgramResult r = runPipeline(prog, presetByName("sparcstation2"),
+                                        opts);
+    ASSERT_EQ(r.blockIssues.size(), 1u);
+    EXPECT_NE(r.blockIssues[0].reason.find("cancelled mid-loop"),
+              std::string::npos);
+    EXPECT_EQ(r.counters.value("cancel.blocks_cancelled"), 1u);
+    // The scan ran until the poll fired: its partial work still counts.
+    EXPECT_GT(r.counters.value("dag.pairwise_compares"), 0u);
+    const obs::PhaseStats *build =
+        obs::PhaseProfiler::global().root().child("build");
+    ASSERT_NE(build, nullptr);
+    EXPECT_EQ(build->entries, 1u);
+    EXPECT_EQ(build->counters.value("dag.pairwise_compares"),
+              r.counters.value("dag.pairwise_compares"));
+    EXPECT_TRUE(phasesBalanced());
+}
+
+TEST(PhaseScopeUnwind, PropagatingBuilderThrowFlushesLaneCounts)
+{
+    ObservedGuard guard;
+    fault::Config config;
+    config.rate[static_cast<std::size_t>(fault::Point::BuilderThrow)] =
+        1.0;
+    fault::configure(config);
+    const MachineModel machine = presetByName("sparcstation2");
+    PipelineOptions opts;
+    opts.containFaults = false;
+    opts.threads = 1;
+    Program one = parseAssembly(kSource);
+    std::uint64_t injected = registryValue("fault.injected");
+    EXPECT_THROW(runPipeline(one, machine, opts), FatalError);
+    // The failed attempt's counts reached the registry, so a retrying
+    // caller still sees exact totals.
+    EXPECT_EQ(registryValue("fault.injected"), injected + 1);
+    EXPECT_TRUE(phasesBalanced());
+
+    // Several blocks over two lanes: each lane unwinds its own block.
+    Program prog = parseAssembly(std::string(kSource) +
+                                 "ba next\nnop\nnext:\n" + kSource);
+    opts.threads = 2;
+    injected = registryValue("fault.injected");
+    EXPECT_THROW(runPipeline(prog, machine, opts), FatalError);
+    EXPECT_GE(registryValue("fault.injected"), injected + 2);
+    EXPECT_TRUE(phasesBalanced());
+
+    // The next run on the same threads observes normally.
+    fault::reset();
+    const ProgramResult r = runPipeline(prog, machine, opts);
+    EXPECT_EQ(r.blocksDegraded, 0u);
+    const obs::PhaseStats *build =
+        obs::PhaseProfiler::global().root().child("build");
+    ASSERT_NE(build, nullptr);
+    EXPECT_EQ(build->entries, r.numBlocks);
+    EXPECT_TRUE(phasesBalanced());
+}
+
+// ---------------------------------------------------------------------------
 // Pipeline interrupt rung (the CLI's SIGINT path uses exactly this).
 
 TEST(PipelineInterrupt, FiredTokenDegradesRemainingBlocks)
@@ -761,6 +1047,50 @@ TEST(Daemon, DrainAnswersEverythingAccepted)
     EXPECT_EQ(daemon.counters().accepted.load(), 2u);
     EXPECT_EQ(daemon.counters().ok.load(), 2u);
     EXPECT_EQ(daemon.counters().rejected.load(), 0u);
+    ::close(fd);
+}
+
+TEST(Daemon, TooDeepRequestLineAnswersErrorAndKeepsServing)
+{
+    FaultGuard guard;
+    service::DaemonConfig config;
+    config.socketPath = testSocketPath("deep");
+    config.workers = 1;
+    config.statsPath = "";
+    ::unlink(config.socketPath.c_str());
+
+    service::Daemon daemon(config);
+    int rc = -1;
+    std::thread server([&] { rc = daemon.run(); });
+
+    int fd = connectWithRetry(config.socketPath);
+    ASSERT_GE(fd, 0) << "daemon did not come up";
+
+    // ~300 KB of nested objects: decoded on the reader thread, which
+    // used to recurse once per level until the stack ran out.
+    std::string deep;
+    for (int i = 0; i < 50000; ++i)
+        deep += "{\"a\":";
+    deep += "0" + std::string(50000, '}') + "\n";
+    ASSERT_TRUE(sendAll(fd, deep));
+    ASSERT_TRUE(sendAll(fd, "{\"id\":\"after\",\"source\":\"add %g1, "
+                            "%g2, %g3\\n\"}\n"));
+
+    std::vector<std::string> lines = readLines(fd, 2);
+    ASSERT_EQ(lines.size(), 2u);
+    std::set<std::string> statuses;
+    for (const std::string &line : lines) {
+        obs::JsonValue doc = obs::parseJson(line);
+        statuses.insert(doc.strOr("id", "") + ":" +
+                        doc.strOr("status", ""));
+    }
+    EXPECT_TRUE(statuses.count(":error")) << lines[0];
+    EXPECT_TRUE(statuses.count("after:ok")) << lines[1];
+
+    daemon.requestDrain();
+    server.join();
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(daemon.counters().ok.load(), 1u);
     ::close(fd);
 }
 

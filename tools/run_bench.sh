@@ -31,9 +31,12 @@ build=${2:-build}
 # hot-path benches (micro-dag, table4/table5, figure1) ride along: their
 # deterministic work counters (pairwise compares, table probes, alias
 # queries, arcs added) pin the builder algorithms byte-for-byte.
+# obs-cost reports the counters-on/off time ratio (report-only, like
+# every time metric here) next to its pinned arcs_added.
 targets="bench_table3_structure bench_table1_heuristics bench_winnowing \
 bench_machine_ablation bench_reservation bench_global bench_alias_policies \
-bench_micro_dag bench_table4_n2 bench_table5_table bench_figure1_transitive"
+bench_micro_dag bench_table4_n2 bench_table5_table bench_figure1_transitive \
+bench_obs_cost"
 
 if [ ! -f "$build/CMakeCache.txt" ]; then
     cmake -B "$build" -S "$src" -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -795,10 +795,10 @@ cmdSchedule(const CliOptions &opts)
         const BasicBlock &bb = blocks[b];
         BlockView block(prog, bb);
 
-        obs::CounterSet block_before;
+        obs::CounterValues block_before;
         obs::ScopedPhase block_timer("block");
         if (session.trace())
-            block_before = obs::CounterRegistry::global().snapshot();
+            obs::CounterRegistry::global().snapshotInto(block_before);
 
         // Per-block containment: a fault degrades this block to its
         // original instruction order and the run continues (--strict
@@ -839,8 +839,8 @@ cmdSchedule(const CliOptions &opts)
             ev.size = bb.size();
             ev.phase = "block";
             ev.seconds = block_timer.stop();
-            ev.counters = obs::CounterRegistry::global().deltaSince(
-                block_before);
+            obs::CounterRegistry::global().snapshotInto(ev.counters);
+            ev.counters.subtract(block_before);
             session.trace()->event(ev);
         }
         if (result)
