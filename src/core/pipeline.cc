@@ -12,7 +12,6 @@
 #include <sstream>
 #include <thread>
 
-#include "dag/table_forward.hh"
 #include "heuristics/heuristic.hh"
 #include "heuristics/register_pressure.hh"
 #include "obs/events.hh"
@@ -396,18 +395,10 @@ runPipeline(Program &prog, const MachineModel &machine,
                 // ground-truth DAG, so failure here just leaves the
                 // cycle counts at zero.
                 try {
-                    BuildOptions gt_opts = opts.build;
-                    gt_opts.preventTransitive = false;
-                    gt_opts.maintainReachMaps = false;
-                    // Never under the (possibly fired) block token.
-                    gt_opts.cancel = nullptr;
-                    Dag gt = TableForwardBuilder().build(block, machine,
-                                                         gt_opts);
                     out.cyclesOriginal =
-                        simulateSchedule(gt,
-                                         originalOrderSchedule(gt).order,
-                                         machine)
-                            .cycles;
+                        groundTruthCycles(block, nullptr, opts.builder,
+                                          nullptr, machine, opts.build)
+                            .original.cycles;
                     out.cyclesScheduled = out.cyclesOriginal;
                 } catch (const std::exception &) {
                 }
@@ -507,6 +498,17 @@ runPipeline(Program &prog, const MachineModel &machine,
             // --strict / the daemon ladder, propagation) paths.
             BlockPhase build_phase("build", tracer, &budget);
             if (fault_on) {
+                // One draw per point, a pure function of (seed,
+                // content); a fired point is logged to the flight
+                // recorder under its spec token before it acts.
+                auto fire = [&](fault::Point p) {
+                    bool fired =
+                        fault::shouldFire(p, fault_key, opts.faultSalt);
+                    if (fired)
+                        obs::flight::record(obs::flight::EventKind::Diag,
+                                            "inject", fault::pointName(p));
+                    return fired;
+                };
                 // Signal-grade points first (docs/ROBUSTNESS.md):
                 // they take the whole process down — the failure mode
                 // they simulate.  Survivable only when this pipeline
@@ -514,28 +516,15 @@ runPipeline(Program &prog, const MachineModel &machine,
                 // (`sched91 serve --isolate=process`), whose
                 // supervisor converts the death into the ladder's
                 // degradation rung.
-                if (fault::shouldFire(fault::Point::CrashSegv,
-                                      fault_key, opts.faultSalt)) {
-                    obs::flight::record(obs::flight::EventKind::Diag,
-                                        "inject", "crash-segv");
+                if (fire(fault::Point::CrashSegv))
                     std::raise(SIGSEGV);
-                }
-                if (fault::shouldFire(fault::Point::CrashAbort,
-                                      fault_key, opts.faultSalt)) {
-                    obs::flight::record(obs::flight::EventKind::Diag,
-                                        "inject", "crash-abort");
+                if (fire(fault::Point::CrashAbort))
                     std::abort();
-                }
-                if (fault::shouldFire(fault::Point::SpinForever,
-                                      fault_key, opts.faultSalt)) {
-                    obs::flight::record(obs::flight::EventKind::Diag,
-                                        "inject", "spin-forever");
-                    // A genuinely runaway loop: no cancellation poll,
-                    // no sleep — only SIGKILL (watchdog) or RLIMIT_CPU
-                    // ends it.
+                // A genuinely runaway loop: no cancellation poll, no
+                // sleep — only SIGKILL (watchdog) or RLIMIT_CPU ends it.
+                if (fire(fault::Point::SpinForever))
                     for (volatile std::uint64_t spin = 0;;)
                         ++spin;
-                }
                 // The arena rung of alloc-fail: arm the worker's
                 // arena so std::bad_alloc surfaces from inside the
                 // builder's own allocations (a different unwind than
@@ -553,27 +542,15 @@ runPipeline(Program &prog, const MachineModel &machine,
                         arena->armAllocFailure();
                     }
                 }
-                if (fault::shouldFire(fault::Point::SlowBlock,
-                                      fault_key, opts.faultSalt)) {
-                    obs::flight::record(obs::flight::EventKind::Diag,
-                                        "inject", "slow-block");
+                if (fire(fault::Point::SlowBlock))
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(
                             fault::activeConfig().slowBlockMs));
-                }
-                if (fault::shouldFire(fault::Point::AllocFail,
-                                      fault_key, opts.faultSalt)) {
-                    obs::flight::record(obs::flight::EventKind::Diag,
-                                        "inject", "alloc-fail");
+                if (fire(fault::Point::AllocFail))
                     throw std::bad_alloc();
-                }
-                if (fault::shouldFire(fault::Point::BuilderThrow,
-                                      fault_key, opts.faultSalt)) {
-                    obs::flight::record(obs::flight::EventKind::Diag,
-                                        "inject", "builder-throw");
+                if (fire(fault::Point::BuilderThrow))
                     fatal("injected fault: builder-throw (key ",
                           fault_key, ")");
-                }
             }
             Dag dag = use_builder->build(block, machine, build_opts);
             out.buildSeconds = build_phase.done(dag.size(), dag.numArcs());
@@ -647,40 +624,13 @@ runPipeline(Program &prog, const MachineModel &machine,
             if (opts.evaluate) {
                 stage = "evaluate";
                 BlockPhase eval_phase("evaluate", tracer);
-                // Ground truth: a timing-complete DAG.  Table-built
-                // DAGs preserve every timing constraint (Section 2),
-                // so reuse the scheduler's DAG when it came from a
-                // table builder without transitive prevention;
-                // otherwise rebuild.
-                bool reusable =
-                    (out.fallback ||
-                     opts.builder == BuilderKind::TableForward ||
-                     opts.builder == BuilderKind::TableBackward) &&
-                    !opts.build.preventTransitive;
-                if (reusable) {
-                    out.cyclesOriginal =
-                        simulateSchedule(dag,
-                                         originalOrderSchedule(dag).order,
-                                         machine)
-                            .cycles;
-                    out.cyclesScheduled =
-                        simulateSchedule(dag, out.sched.order, machine)
-                            .cycles;
-                } else {
-                    BuildOptions gt_opts = opts.build;
-                    gt_opts.preventTransitive = false;
-                    gt_opts.maintainReachMaps = false;
-                    Dag gt = TableForwardBuilder().build(block, machine,
-                                                         gt_opts);
-                    out.cyclesOriginal =
-                        simulateSchedule(gt,
-                                         originalOrderSchedule(gt).order,
-                                         machine)
-                            .cycles;
-                    out.cyclesScheduled =
-                        simulateSchedule(gt, out.sched.order, machine)
-                            .cycles;
-                }
+                BlockCycles cycles = groundTruthCycles(
+                    block, &dag,
+                    out.fallback ? BuilderKind::TableForward
+                                 : opts.builder,
+                    &out.sched.order, machine, opts.build);
+                out.cyclesOriginal = cycles.original.cycles;
+                out.cyclesScheduled = cycles.scheduled.cycles;
                 eval_phase.done(
                     static_cast<std::uint64_t>(out.cyclesOriginal),
                     static_cast<std::uint64_t>(out.cyclesScheduled));

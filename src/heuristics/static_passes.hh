@@ -33,8 +33,6 @@ enum class PassImpl : std::uint8_t {
     LevelLists,  ///< Section 4 level algorithm
 };
 
-std::string_view passImplName(PassImpl impl);
-
 /**
  * Forward pass: computes maxPathFromRoot, maxDelayFromRoot and the
  * earliest start time (EST, Schlansker-style: EST(n) = max over parents

@@ -109,23 +109,14 @@ const OpcodeInfo &opcodeInfo(Opcode op);
 /** Lookup an opcode by mnemonic (",a" annul suffixes stripped first). */
 Opcode opcodeFromMnemonic(std::string_view mnemonic);
 
-/** Mnemonic for an opcode. */
-std::string_view opcodeName(Opcode op);
-
 /** Instruction class of an opcode. */
 InstClass instClass(Opcode op);
-
-/** Human-readable class name (for tables). */
-std::string_view instClassName(InstClass cls);
 
 /** Issue group of an instruction class. */
 IssueGroup issueGroup(InstClass cls);
 
 /** True for control-transfer classes (Branch, Call). */
 bool isControlTransfer(InstClass cls);
-
-/** True when the class accesses memory. */
-bool isMemoryClass(InstClass cls);
 
 /** True when the class is a load. */
 bool isLoadClass(InstClass cls);

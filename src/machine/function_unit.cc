@@ -39,11 +39,4 @@ FuState::occupy(InstClass cls, int start)
     *it = start + machine_->fuBusyCycles(cls);
 }
 
-int
-FuState::maxBusyUntil(FuKind kind) const
-{
-    const auto &pool = busyUntil_[static_cast<std::size_t>(kind)];
-    return *std::max_element(pool.begin(), pool.end());
-}
-
 } // namespace sched91

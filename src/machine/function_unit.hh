@@ -41,9 +41,6 @@ class FuState
      */
     void occupy(InstClass cls, int start);
 
-    /** Busy-until time of the most-loaded unit of @p kind. */
-    int maxBusyUntil(FuKind kind) const;
-
   private:
     /** Non-owning; FuState stays copyable for search-state snapshots. */
     const MachineModel *machine_;

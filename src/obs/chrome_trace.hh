@@ -56,8 +56,6 @@ class ChromeTraceSink final : public TraceSink
      * destructor if the owner did not. */
     void close();
 
-    std::size_t eventsBuffered() const { return events_.size(); }
-
   private:
     std::ostream *out_;
     bool zeroTimes_;

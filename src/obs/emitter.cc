@@ -294,14 +294,6 @@ programResultJson(const ProgramResult &result, const RunMeta &meta,
 }
 
 std::string
-counterSetJson(const CounterSet &counters)
-{
-    JsonWriter w;
-    writeCounterSet(w, counters);
-    return w.take();
-}
-
-std::string
 renderCounters(const CounterSet &counters)
 {
     CounterSet nz = counters.nonzero();

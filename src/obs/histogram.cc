@@ -81,6 +81,14 @@ HistogramSet::merge(const HistogramSet &other)
         get(item.first).merge(item.second);
 }
 
+void
+HistogramSet::zeroTimes()
+{
+    for (Item &item : items_)
+        if (isTimeHistogram(item.first))
+            item.second.zeroValues();
+}
+
 bool
 isTimeHistogram(std::string_view name)
 {

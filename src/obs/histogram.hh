@@ -114,6 +114,16 @@ class Histogram
      */
     std::uint64_t percentile(double p) const;
 
+    /** Keep the sample count but move every sample to the value 0:
+     * what `--zero-times` leaves of a wall-clock distribution. */
+    void
+    zeroValues()
+    {
+        buckets_ = {};
+        buckets_[0] = count_;
+        sum_ = min_ = max_ = 0;
+    }
+
     /** Bucket-count addition — associative, commutative, and
      * order-independent, the property the per-worker shard merge
      * depends on. */
@@ -164,6 +174,9 @@ class HistogramSet
     /** Merge every histogram of @p other into this set, name by
      * name. */
     void merge(const HistogramSet &other);
+
+    /** zeroValues() on every duration histogram (isTimeHistogram). */
+    void zeroTimes();
 
     bool empty() const { return items_.empty(); }
     std::size_t size() const { return items_.size(); }

@@ -38,15 +38,6 @@ PhaseProfiler::clear()
     root_.seconds = 0.0;
 }
 
-double
-PhaseProfiler::topLevelSeconds() const
-{
-    double total = 0.0;
-    for (const PhaseStats &c : root_.children)
-        total += c.seconds;
-    return total;
-}
-
 namespace
 {
 

@@ -81,9 +81,6 @@ class PhaseProfiler
     /** The synthetic root; real phases are its descendants. */
     const PhaseStats &root() const { return root_; }
 
-    /** Total seconds of the top-level phases. */
-    double topLevelSeconds() const;
-
     /**
      * Fold another profiler's tree into this one, matching phases by
      * nesting path and name: entries and seconds add, counters merge

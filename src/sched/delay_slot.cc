@@ -61,22 +61,16 @@ bool
 isValidModuloDelaySlot(const Dag &dag,
                        const std::vector<std::uint32_t> &order)
 {
-    if (order.size() != dag.size())
-        return false;
-    std::vector<int> pos(dag.size(), -1);
-    for (std::uint32_t p = 0; p < order.size(); ++p) {
-        if (order[p] >= dag.size() || pos[order[p]] != -1)
-            return false;
-        pos[order[p]] = static_cast<int>(p);
-    }
-    std::uint32_t branch = dag.size() - 1;
-    for (const Arc &arc : dag.arcs()) {
-        if (arc.kind == DepKind::CTRL && arc.to == branch)
-            continue; // advisory anchor
-        if (pos[arc.from] >= pos[arc.to])
-            return false;
-    }
-    return true;
+    std::vector<int> pos;
+    if (checkOrder(dag, order, pos))
+        return true;
+    // Only the advisory anchors into the branch may run backward.
+    bool ok = true;
+    checkOrder(dag, order, pos, [&](const OrderFault &f) {
+        ok = ok && f.kind == OrderFault::Kind::Backward &&
+             f.arc->kind == DepKind::CTRL && f.arc->to == dag.size() - 1;
+    });
+    return ok;
 }
 
 } // namespace sched91

@@ -1,6 +1,7 @@
 #include "sched/list_scheduler.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "heuristics/dynamic.hh"
 #include "machine/function_unit.hh"
@@ -243,11 +244,9 @@ ListScheduler::run(Dag &dag, DecisionStats *stats,
 {
     // DecisionStats needs the explicit winnowing pass, so the heap
     // fast path only serves plain scheduling runs.
-    Schedule sched =
-        (rankingStatic_ && !stats)
-            ? runHeap(dag, cancel)
-            : (config_.forward ? runForward(dag, stats, cancel)
-                               : runBackward(dag, stats, cancel));
+    Schedule sched = (rankingStatic_ && !stats)
+                         ? runHeap(dag, cancel)
+                         : runScan(dag, stats, cancel);
     if (config_.postpassFixup)
         applyPostpassFixup(dag, sched);
     fillTiming(dag, sched);
@@ -345,10 +344,11 @@ ListScheduler::runHeap(Dag &dag, const CancellationToken *cancel) const
 }
 
 Schedule
-ListScheduler::runForward(Dag &dag, DecisionStats *stats,
-                          const CancellationToken *cancel) const
+ListScheduler::runScan(Dag &dag, DecisionStats *stats,
+                       const CancellationToken *cancel) const
 {
     initDynamicState(dag);
+    const bool forward = config_.forward;
 
     WorkerContext *wc = WorkerContext::current();
     std::vector<std::uint32_t> local_candidates;
@@ -356,65 +356,14 @@ ListScheduler::runForward(Dag &dag, DecisionStats *stats,
         wc ? wc->readyList : local_candidates;
     candidates.clear();
     for (std::uint32_t i = 0; i < dag.size(); ++i)
-        if (dag.numParents(i) == 0)
+        if ((forward ? dag.numParents(i) : dag.numChildren(i)) == 0)
             candidates.push_back(i);
 
-    FuState fus(machine_);
+    // FU and time context exist only in a forward pass.
+    std::optional<FuState> fus;
     EvalContext ctx;
-    ctx.fus = &fus;
-
-    Schedule sched;
-    sched.order.reserve(dag.size());
-    int time = 0;
-
-    while (!candidates.empty()) {
-        if (cancel)
-            cancel->poll();
-        obs::ev::schedNodeVisits.inc();
-        obs::ev::schedReadyListPeak.max(candidates.size());
-        ctx.time = time;
-        std::size_t best =
-            selectBest(dag, candidates, config_, ctx, machine_, stats);
-
-        std::uint32_t n = candidates[best];
-        candidates.erase(candidates.begin() +
-                         static_cast<std::ptrdiff_t>(best));
-
-        int issue = std::max(time, dag.ann().earliestExecTime[n]);
-        sched.order.push_back(n);
-        fus.occupy(dag.inst(n).cls(), issue);
-        onScheduledForward(dag, n, issue);
-
-        for (std::uint32_t c : dag.succTo(n))
-            if (dag.ann().unscheduledParents[c] == 0)
-                candidates.push_back(c);
-
-        time = issue + 1;
-        ctx.last = n;
-        ctx.lastGroup = dag.ann().altType[n];
-    }
-
-    SCHED91_ASSERT(sched.order.size() == dag.size(),
-                   "scheduler lost nodes (cyclic DAG?)");
-    return sched;
-}
-
-Schedule
-ListScheduler::runBackward(Dag &dag, DecisionStats *stats,
-                           const CancellationToken *cancel) const
-{
-    initDynamicState(dag);
-
-    WorkerContext *wc = WorkerContext::current();
-    std::vector<std::uint32_t> local_candidates;
-    std::vector<std::uint32_t> &candidates =
-        wc ? wc->readyList : local_candidates;
-    candidates.clear();
-    for (std::uint32_t i = 0; i < dag.size(); ++i)
-        if (dag.numChildren(i) == 0)
-            candidates.push_back(i);
-
-    EvalContext ctx; // no FU / time context in a backward pass
+    if (forward)
+        ctx.fus = &fus.emplace(machine_);
 
     Schedule sched;
     sched.order.reserve(dag.size());
@@ -430,21 +379,30 @@ ListScheduler::runBackward(Dag &dag, DecisionStats *stats,
         std::uint32_t n = candidates[best];
         candidates.erase(candidates.begin() +
                          static_cast<std::ptrdiff_t>(best));
-
         sched.order.push_back(n);
-        onScheduledBackward(dag, n, config_.birthing);
 
-        for (std::uint32_t p : dag.predFrom(n))
-            if (dag.ann().unscheduledChildren[p] == 0)
-                candidates.push_back(p);
-
+        if (forward) {
+            int issue = std::max(ctx.time, dag.ann().earliestExecTime[n]);
+            fus->occupy(dag.inst(n).cls(), issue);
+            onScheduledForward(dag, n, issue);
+            for (std::uint32_t c : dag.succTo(n))
+                if (dag.ann().unscheduledParents[c] == 0)
+                    candidates.push_back(c);
+            ctx.time = issue + 1;
+        } else {
+            onScheduledBackward(dag, n, config_.birthing);
+            for (std::uint32_t p : dag.predFrom(n))
+                if (dag.ann().unscheduledChildren[p] == 0)
+                    candidates.push_back(p);
+        }
         ctx.last = n;
         ctx.lastGroup = dag.ann().altType[n];
     }
 
     SCHED91_ASSERT(sched.order.size() == dag.size(),
                    "scheduler lost nodes (cyclic DAG?)");
-    std::reverse(sched.order.begin(), sched.order.end());
+    if (!forward)
+        std::reverse(sched.order.begin(), sched.order.end());
     return sched;
 }
 

@@ -173,14 +173,9 @@ class ListScheduler
     Schedule run(Dag &dag, DecisionStats *stats = nullptr,
                  const CancellationToken *cancel = nullptr) const;
 
-    /** Whether this configuration's ranking qualifies for the heap. */
-    bool rankingStatic() const { return rankingStatic_; }
-
   private:
-    Schedule runForward(Dag &dag, DecisionStats *stats,
-                        const CancellationToken *cancel) const;
-    Schedule runBackward(Dag &dag, DecisionStats *stats,
-                         const CancellationToken *cancel) const;
+    Schedule runScan(Dag &dag, DecisionStats *stats,
+                     const CancellationToken *cancel) const;
     Schedule runHeap(Dag &dag, const CancellationToken *cancel) const;
 
     SchedulerConfig config_;

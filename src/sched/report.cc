@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "dag/table_forward.hh"
 #include "support/string_util.hh"
 
 namespace sched91
@@ -52,24 +51,23 @@ reportProgram(Program &prog, const MachineModel &machine,
         BlockView block(prog, bb);
         auto result = scheduleBlock(block, machine, opts);
 
-        Dag gt = TableForwardBuilder().build(block, machine, opts.build);
-        SimResult before = simulateSchedule(
-            gt, originalOrderSchedule(gt).order, machine);
-        SimResult after =
-            simulateSchedule(gt, result.sched.order, machine);
-
         // Critical path: longest arc-delay path closed with the final
-        // node's latency.
-        std::vector<int> tail(gt.size(), 0);
+        // node's latency, on the DAG the orders are costed on.
         int critical = 0;
-        for (std::uint32_t i = gt.size(); i-- > 0;) {
-            tail[i] = gt.ann().execTime[i];
-            std::span<const std::uint32_t> to = gt.succTo(i);
-            std::span<const std::int32_t> delay = gt.succDelay(i);
-            for (std::size_t k = 0; k < to.size(); ++k)
-                tail[i] = std::max(tail[i], delay[k] + tail[to[k]]);
-            critical = std::max(critical, tail[i]);
-        }
+        auto critical_path = [&critical](const Dag &gt) {
+            std::vector<int> tail(gt.size(), 0);
+            for (std::uint32_t i = gt.size(); i-- > 0;) {
+                tail[i] = gt.ann().execTime[i];
+                std::span<const std::uint32_t> to = gt.succTo(i);
+                std::span<const std::int32_t> delay = gt.succDelay(i);
+                for (std::size_t k = 0; k < to.size(); ++k)
+                    tail[i] = std::max(tail[i], delay[k] + tail[to[k]]);
+                critical = std::max(critical, tail[i]);
+            }
+        };
+        auto [before, after] = groundTruthCycles(
+            block, &result.dag, opts.builder, &result.sched.order,
+            machine, opts.build, critical_path);
 
         BlockReport r;
         r.begin = bb.begin;

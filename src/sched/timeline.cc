@@ -4,7 +4,7 @@
 #include <sstream>
 #include <vector>
 
-#include "machine/function_unit.hh"
+#include "sched/pipeline_sim.hh"
 #include "support/string_util.hh"
 
 namespace sched91
@@ -42,7 +42,7 @@ std::string
 renderTimeline(const Dag &dag, const std::vector<std::uint32_t> &order,
                const MachineModel &machine, const TimelineOptions &opts)
 {
-    // Replay with the pipeline simulator's rules, recording placements.
+    // Replay through the pipeline simulator, recording placements.
     struct Placement
     {
         FuKind fu;
@@ -51,48 +51,17 @@ renderTimeline(const Dag &dag, const std::vector<std::uint32_t> &order,
         char mark;
     };
     std::vector<Placement> placements;
-
-    std::vector<int> dep_ready(dag.size(), 0);
-    for (std::uint32_t i = 0; i < dag.size(); ++i)
-        dep_ready[i] = dag.ann().inheritedEet[i];
-    FuState fus(machine);
-    int cycle = 0;
-    int issued = 0;
-    unsigned groups = 0;
     int last_cycle = 0;
-
-    for (std::size_t p = 0; p < order.size(); ++p) {
-        std::uint32_t n = order[p];
-        InstClass cls = dag.inst(n).cls();
-        unsigned bit = 1u << static_cast<unsigned>(dag.inst(n).group());
-        int t = std::max({cycle, dep_ready[n],
-                          fus.earliestFree(machine.fuFor(cls), 0)});
-        if (t > cycle) {
-            cycle = t;
-            issued = 0;
-            groups = 0;
-        }
-        while (issued >= machine.issueWidth ||
-               (machine.issueWidth > 1 && (groups & bit))) {
-            ++cycle;
-            issued = 0;
-            groups = 0;
-        }
-        ++issued;
-        groups |= bit;
-        fus.occupy(cls, cycle);
-        placements.push_back(Placement{machine.fuFor(cls), cycle,
-                                       machine.fuBusyCycles(cls),
-                                       positionMark(p)});
-        last_cycle = std::max(last_cycle,
-                              cycle + machine.fuBusyCycles(cls));
-        std::span<const std::uint32_t> to = dag.succTo(n);
-        std::span<const std::int32_t> delay = dag.succDelay(n);
-        for (std::size_t k = 0; k < to.size(); ++k) {
-            dep_ready[to[k]] =
-                std::max(dep_ready[to[k]], cycle + delay[k]);
-        }
-    }
+    const ArenaVector<int> &eet = dag.ann().inheritedEet;
+    replaySchedule(
+        dag, order, machine, std::vector<int>(eet.begin(), eet.end()),
+        [&](std::uint32_t p, std::uint32_t n, int cycle) {
+            InstClass cls = dag.inst(n).cls();
+            int busy = machine.fuBusyCycles(cls);
+            placements.push_back(
+                Placement{machine.fuFor(cls), cycle, busy, positionMark(p)});
+            last_cycle = std::max(last_cycle, cycle + busy);
+        });
 
     int width = std::min(last_cycle, opts.maxCycles);
     bool truncated = last_cycle > opts.maxCycles;

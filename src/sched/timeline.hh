@@ -30,9 +30,9 @@ struct TimelineOptions
 };
 
 /**
- * Render @p order executing on @p machine (same replay rules as the
- * pipeline simulator: dependence delays, issue slots, function-unit
- * occupancy).
+ * Render @p order executing on @p machine, replayed through the
+ * pipeline simulator (dependence delays, issue slots, function-unit
+ * occupancy; an illegal order panics).
  */
 std::string renderTimeline(const Dag &dag,
                            const std::vector<std::uint32_t> &order,

@@ -29,40 +29,6 @@ concat(const Args &...args)
     return os.str();
 }
 
-/**
- * Fill pos[node] = schedule position.  Returns false (with reasons)
- * unless @p order is a permutation of [0, dag.size()).
- */
-bool
-buildPositions(const Dag &dag, const std::vector<std::uint32_t> &order,
-               std::vector<int> &pos, VerifyResult &r)
-{
-    if (order.size() != dag.size()) {
-        fail(r, concat("order covers ", order.size(), " of ",
-                       dag.size(), " nodes"));
-        return false;
-    }
-    pos.assign(dag.size(), -1);
-    bool ok = true;
-    for (std::uint32_t p = 0; p < order.size(); ++p) {
-        std::uint32_t n = order[p];
-        if (n >= dag.size()) {
-            fail(r, concat("position ", p, " names node ", n,
-                           " outside the block"));
-            ok = false;
-            continue;
-        }
-        if (pos[n] != -1) {
-            fail(r, concat("node ", n, " scheduled twice (positions ",
-                           pos[n], " and ", p, ")"));
-            ok = false;
-            continue;
-        }
-        pos[n] = static_cast<int>(p);
-    }
-    return ok;
-}
-
 /** The block-ending control transfer, or none. */
 bool
 blockEndsInControl(const Dag &dag)
@@ -79,6 +45,45 @@ isBranchAnchor(const Dag &dag, const Arc &arc)
 {
     return arc.kind == DepKind::CTRL && arc.to == dag.size() - 1 &&
            blockEndsInControl(dag);
+}
+
+/**
+ * Fill pos[node] = schedule position with checkOrder.  Only when it
+ * finds a fault does a second walk turn each fault into a reason;
+ * backward arcs @p skipArc accepts are let through.  Returns false
+ * unless @p order is a permutation of [0, dag.size()).
+ */
+template <typename SkipArc>
+bool
+checkPositions(const Dag &dag, const std::vector<std::uint32_t> &order,
+               std::vector<int> &pos, VerifyResult &r, SkipArc skipArc)
+{
+    if (checkOrder(dag, order, pos))
+        return true;
+    bool permutation = true;
+    checkOrder(dag, order, pos, [&](const OrderFault &f) {
+        using Kind = OrderFault::Kind;
+        if (f.kind == Kind::Backward) {
+            const Arc &arc = *f.arc;
+            if (!skipArc(arc))
+                fail(r, concat("arc ", arc.from, " -> ", arc.to, " (",
+                               depKindName(arc.kind), ", delay ",
+                               arc.delay, ") runs backward: positions ",
+                               pos[arc.from], " >= ", pos[arc.to]));
+            return;
+        }
+        permutation = false;
+        if (f.kind == Kind::Length)
+            fail(r, concat("order covers ", order.size(), " of ",
+                           dag.size(), " nodes"));
+        else if (f.kind == Kind::Range)
+            fail(r, concat("position ", f.position, " names node ",
+                           f.node, " outside the block"));
+        else
+            fail(r, concat("node ", f.node, " scheduled twice (positions ",
+                           pos[f.node], " and ", f.position, ")"));
+    });
+    return permutation;
 }
 
 } // namespace
@@ -104,23 +109,15 @@ verifySchedule(const Dag &dag, const Schedule &sched,
     (void)machine; // reserved for future structural checks
     VerifyResult r;
 
-    // 1. Permutation.
+    // 1. Permutation.  2. Precedence: every arc points forward in
+    // the order.  In delay-slot mode the advisory control anchors into
+    // the final branch are exempt (the filler legally moves past the
+    // branch).
     std::vector<int> pos;
-    if (!buildPositions(dag, sched.order, pos, r))
+    if (!checkPositions(dag, sched.order, pos, r, [&](const Arc &arc) {
+            return opts.allowDelaySlot && isBranchAnchor(dag, arc);
+        }))
         return r; // positions unusable; later checks would lie
-
-    // 2. Precedence: every arc points forward in the order.  In
-    // delay-slot mode the advisory control anchors into the final
-    // branch are exempt (the filler legally moves past the branch).
-    for (const Arc &arc : dag.arcs()) {
-        if (opts.allowDelaySlot && isBranchAnchor(dag, arc))
-            continue;
-        if (pos[arc.from] >= pos[arc.to])
-            fail(r, concat("arc ", arc.from, " -> ", arc.to, " (",
-                           depKindName(arc.kind), ", delay ",
-                           arc.delay, ") runs backward: positions ",
-                           pos[arc.from], " >= ", pos[arc.to]));
-    }
 
     // 3. Branch placement.
     if (opts.requireBranchLast && blockEndsInControl(dag)) {
@@ -177,8 +174,11 @@ verifyReservation(const Dag &dag, const ReservationResult &res,
 {
     VerifyResult r;
 
+    // Placement cycles, not positions, carry precedence here: only
+    // the permutation is checked on the order.
     std::vector<int> pos;
-    if (!buildPositions(dag, res.sched.order, pos, r))
+    if (!checkPositions(dag, res.sched.order, pos, r,
+                        [](const Arc &) { return true; }))
         return r;
 
     if (res.cycle.size() != dag.size()) {

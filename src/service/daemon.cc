@@ -691,6 +691,8 @@ Daemon::prometheusDocument()
         std::lock_guard<std::mutex> lock(publishMu_);
         hists = publishedHists_;
     }
+    if (config_.zeroTimes)
+        hists.zeroTimes();
     const obs::CounterSet counters = liveCounters().named().nonzero();
 
     obs::PromDoc doc;

@@ -162,9 +162,6 @@ class Daemon
     /** Service tallies (tests). */
     SvcCounters &counters() { return engine_.counters(); }
 
-    /** Live span log for `trace-dump` / `--trace-json` (tests). */
-    const obs::ServiceTraceLog &traceLog() const { return traceLog_; }
-
   private:
     struct WorkerSlot;
 

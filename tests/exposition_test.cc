@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "obs/counters.hh"
@@ -94,6 +95,46 @@ TEST(Exposition, HistogramBucketsAreCumulativeAndClosed)
         "sched91_lat_ns_sum 204\n"
         "sched91_lat_ns_count 4\n";
     EXPECT_EQ(text, expected);
+}
+
+TEST(Exposition, ZeroTimesRendersDifferentLatenciesIdentically)
+{
+    // The same events with different wall-clock samples, as two runs
+    // of one workload produce them.
+    obs::HistogramSet a, b;
+    for (std::uint64_t v : {120, 4000, 4000})
+        a.record("svc.request_ns", v);
+    for (std::uint64_t v : {90, 70000, 5})
+        b.record("svc.request_ns", v);
+    for (obs::HistogramSet *set : {&a, &b}) {
+        set->record("block.insts", 7);
+        set->record("block.insts", 30);
+    }
+    obs::PromDoc da, db;
+    da.histograms = &a;
+    db.histograms = &b;
+    ASSERT_NE(obs::renderHistograms(a), obs::renderHistograms(b));
+    ASSERT_NE(obs::prometheusExposition(da), obs::prometheusExposition(db));
+
+    a.zeroTimes();
+    b.zeroTimes();
+    EXPECT_EQ(obs::renderHistograms(a), obs::renderHistograms(b));
+    const std::string text = obs::prometheusExposition(da);
+    EXPECT_EQ(text, obs::prometheusExposition(db));
+
+    // Counts survive and every sample sits at 0, so the series stays
+    // complete and cumulative.
+    EXPECT_NE(text.find("sched91_svc_request_ns_bucket{le=\"0\"} 3\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("sched91_svc_request_ns_bucket{le=\"+Inf\"} 3\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("sched91_svc_request_ns_sum 0\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("sched91_svc_request_ns_count 3\n"),
+              std::string::npos);
+    // Size distributions are data, not wall-clock: left as recorded.
+    EXPECT_NE(text.find("sched91_block_insts_sum 37\n"), std::string::npos);
 }
 
 TEST(Exposition, GoldenDocumentWithLabels)

@@ -3,21 +3,18 @@
  * Observability-layer tests: counter registry semantics (register,
  * increment, reset, merge, duplicate rejection), ScopedPhase nesting
  * into the global phase tree, zero-cost-when-disabled behavior, the
- * JSON/JSONL emitters round-tripped through a minimal parser, and the
+ * JSON/JSONL emitters round-tripped through obs::parseJson, and the
  * builder counter asymmetry (pairwise compares vs table probes) the
  * instrumentation exists to expose.
  */
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "core/pipeline.hh"
@@ -38,164 +35,7 @@ namespace sched91
 namespace
 {
 
-/**
- * Minimal recursive-descent JSON reader, just enough to round-trip
- * the emitters' output: objects, arrays, strings (common escapes),
- * numbers (as doubles), booleans, null.
- */
-struct JsonValue
-{
-    using Object = std::map<std::string, JsonValue>;
-    using Array = std::vector<JsonValue>;
-
-    std::variant<std::nullptr_t, bool, double, std::string, Array, Object>
-        v;
-
-    bool isObject() const { return std::holds_alternative<Object>(v); }
-    const Object &object() const { return std::get<Object>(v); }
-    const Array &array() const { return std::get<Array>(v); }
-    double number() const { return std::get<double>(v); }
-    const std::string &str() const { return std::get<std::string>(v); }
-
-    bool has(const std::string &k) const
-    {
-        return isObject() && object().count(k) > 0;
-    }
-    const JsonValue &at(const std::string &k) const
-    {
-        return object().at(k);
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(std::string_view text) : text_(text) {}
-
-    JsonValue parse()
-    {
-        JsonValue v = parseValue();
-        skipWs();
-        EXPECT_EQ(pos_, text_.size()) << "trailing garbage";
-        return v;
-    }
-
-  private:
-    void skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char peek()
-    {
-        skipWs();
-        EXPECT_LT(pos_, text_.size()) << "unexpected end of JSON";
-        return pos_ < text_.size() ? text_[pos_] : '\0';
-    }
-
-    void expect(char c)
-    {
-        EXPECT_EQ(peek(), c);
-        ++pos_;
-    }
-
-    JsonValue parseValue()
-    {
-        switch (peek()) {
-          case '{': return parseObject();
-          case '[': return parseArray();
-          case '"': return JsonValue{parseString()};
-          case 't': pos_ += 4; return JsonValue{true};
-          case 'f': pos_ += 5; return JsonValue{false};
-          case 'n': pos_ += 4; return JsonValue{nullptr};
-          default: return parseNumber();
-        }
-    }
-
-    JsonValue parseObject()
-    {
-        expect('{');
-        JsonValue::Object obj;
-        if (peek() != '}') {
-            while (true) {
-                std::string key = parseString();
-                expect(':');
-                obj.emplace(std::move(key), parseValue());
-                if (peek() != ',')
-                    break;
-                ++pos_;
-            }
-        }
-        expect('}');
-        return JsonValue{std::move(obj)};
-    }
-
-    JsonValue parseArray()
-    {
-        expect('[');
-        JsonValue::Array arr;
-        if (peek() != ']') {
-            while (true) {
-                arr.push_back(parseValue());
-                if (peek() != ',')
-                    break;
-                ++pos_;
-            }
-        }
-        expect(']');
-        return JsonValue{std::move(arr)};
-    }
-
-    std::string parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c == '\\' && pos_ < text_.size()) {
-                char e = text_[pos_++];
-                switch (e) {
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  case 'r': out += '\r'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'u':
-                    // The emitters only produce \u00xx escapes.
-                    out += static_cast<char>(
-                        std::stoi(std::string(text_.substr(pos_, 4)),
-                                  nullptr, 16));
-                    pos_ += 4;
-                    break;
-                  default: out += e;
-                }
-            } else {
-                out += c;
-            }
-        }
-        expect('"');
-        return out;
-    }
-
-    JsonValue parseNumber()
-    {
-        skipWs();
-        std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E'))
-            ++pos_;
-        return JsonValue{
-            std::stod(std::string(text_.substr(start, pos_ - start)))};
-    }
-
-    std::string_view text_;
-    std::size_t pos_ = 0;
-};
+using obs::JsonValue;
 
 /** RAII reset of the process-wide observability state around a test. */
 class ObsStateGuard
@@ -503,7 +343,7 @@ TEST(JsonWriter, EscapesAndNesting)
         .endObject();
     std::string text = w.take();
 
-    JsonValue v = JsonParser(text).parse();
+    JsonValue v = obs::parseJson(text);
     EXPECT_EQ(v.at("s").str(), "a\"b\\c\nd");
     EXPECT_EQ(v.at("n").number(), 42.0);
     EXPECT_EQ(v.at("d").number(), 1.5);
@@ -552,7 +392,7 @@ TEST(JsonWriter, ControlCharacterEscapes)
 
     obs::JsonWriter w;
     w.beginObject().key("k\n").value("v\x02").endObject();
-    JsonValue v = JsonParser(w.take()).parse();
+    JsonValue v = obs::parseJson(w.take());
     EXPECT_EQ(v.at("k\n").str(), std::string("v\x02"));
 }
 
@@ -590,7 +430,7 @@ TEST(Emitter, ProgramResultJsonRoundTrips)
 
     std::string text = obs::programResultJson(
         r, meta, r.counters, &obs::PhaseProfiler::global().root());
-    JsonValue v = JsonParser(text).parse();
+    JsonValue v = obs::parseJson(text);
 
     EXPECT_EQ(v.at("meta").at("input").str(), "daxpy");
     EXPECT_EQ(v.at("blocks").number(),
@@ -626,7 +466,7 @@ TEST(Emitter, HistogramAndMemorySectionsRoundTrip)
     meta.command = "test";
     std::string text = obs::programResultJson(r, meta, r.counters,
                                               nullptr);
-    JsonValue v = JsonParser(text).parse();
+    JsonValue v = obs::parseJson(text);
 
     // Deterministic size histogram: one sample per block, bucket
     // counts summing to the total, percentiles within [min, max].
@@ -668,10 +508,8 @@ TEST(Emitter, HistogramAndMemorySectionsRoundTrip)
     // gauges go to zero, but deterministic counts survive.
     obs::EmitOptions zt;
     zt.zeroTimes = true;
-    JsonValue z = JsonParser(
-                      obs::programResultJson(r, meta, r.counters,
-                                             nullptr, zt))
-                      .parse();
+    JsonValue z = obs::parseJson(
+        obs::programResultJson(r, meta, r.counters, nullptr, zt));
     const JsonValue &zlat = z.at("histograms").at("lat.build_ns");
     EXPECT_EQ(zlat.at("count").number(),
               static_cast<double>(r.numBlocks));
@@ -710,7 +548,7 @@ TEST(Trace, JsonlLinesParse)
     std::uint64_t arcs = 0;
     while (std::getline(in, line)) {
         ++lines;
-        JsonValue v = JsonParser(line).parse();
+        JsonValue v = obs::parseJson(line);
         EXPECT_TRUE(v.has("block"));
         EXPECT_TRUE(v.has("phase"));
         EXPECT_GE(v.at("seconds").number(), 0.0);

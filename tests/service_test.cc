@@ -1234,6 +1234,52 @@ TEST(CliContract, EmptyProgramSchedulesCleanlyWithValidStats)
     ::unlink(stats.c_str());
 }
 
+/** Exit status of the CLI run with @p args, its output discarded. */
+int
+cliExitCode(const std::string &args)
+{
+    const std::string cmd = std::string(SCHED91_CLI_PATH) + " " + args +
+                            " > /dev/null 2>&1";
+    int rc = std::system(cmd.c_str());
+    EXPECT_TRUE(WIFEXITED(rc)) << args;
+    return WEXITSTATUS(rc);
+}
+
+TEST(CliContract, UnknownNameOnCommandLineIsUsageError)
+{
+    EXPECT_EQ(cliExitCode("schedule --kernel daxpy --builder n3-fwd"), 2);
+    EXPECT_EQ(cliExitCode("schedule --kernel daxpy --algorithm fastest"),
+              2);
+    EXPECT_EQ(cliExitCode("schedule --kernel daxpy --policy psychic"), 2);
+    // The CLI tokens and the stats writer's display names both parse.
+    EXPECT_EQ(cliExitCode("schedule --kernel daxpy --builder table-bwd "
+                          "--algorithm warren --policy storage"),
+              0);
+    EXPECT_EQ(cliExitCode("schedule --kernel daxpy --builder 'n**2 fwd'"),
+              0);
+}
+
+TEST(CliContract, UnknownNameInBundleMetaIsDataError)
+{
+    const std::string bundle = tempPath("bundle.json");
+    auto writeBundle = [&](const std::string &meta) {
+        writeFile(bundle, "{\"sched91_outlier\":1,\"block\":0,"
+                          "\"source\":\"ld [%o0], %g1\\nadd %g1, 1, "
+                          "%g2\\n\",\"meta\":{" +
+                              meta + "}}\n");
+    };
+    writeBundle("\"builder\":\"n**2 fwd\",\"algorithm\":\"warren\","
+                "\"policy\":\"base-offset\"");
+    EXPECT_EQ(cliExitCode("explain " + bundle), 0);
+    writeBundle("\"builder\":\"n**3 fwd\"");
+    EXPECT_EQ(cliExitCode("explain " + bundle), 1);
+    writeBundle("\"algorithm\":\"fastest\"");
+    EXPECT_EQ(cliExitCode("explain " + bundle), 1);
+    writeBundle("\"policy\":\"psychic\"");
+    EXPECT_EQ(cliExitCode("explain " + bundle), 1);
+    ::unlink(bundle.c_str());
+}
+
 TEST(CliContract, SigintMidRunDrainsAndEmitsStats)
 {
     // A deliberately large multi-block program so the run outlives

@@ -88,7 +88,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -207,44 +206,17 @@ struct CliOptions
     }
 };
 
-AlgorithmKind
-parseAlgorithm(const std::string &name)
+/** A name-table lookup (service/protocol.hh) whose unknown name is a
+ * usage error on the command line. */
+template <typename Kind>
+Kind
+parseName(Kind (*fromToken)(const std::string &), const std::string &name)
 {
-    for (AlgorithmKind kind : allAlgorithms())
-        if (algorithmName(kind) == name)
-            return kind;
-    usageError("unknown algorithm '", name, "'");
-}
-
-BuilderKind
-parseBuilder(const std::string &name)
-{
-    static const std::map<std::string, BuilderKind> map = {
-        {"n2-fwd", BuilderKind::N2Forward},
-        {"n2-bwd", BuilderKind::N2Backward},
-        {"landskov", BuilderKind::N2Landskov},
-        {"table-fwd", BuilderKind::TableForward},
-        {"table-bwd", BuilderKind::TableBackward},
-    };
-    auto it = map.find(name);
-    if (it == map.end())
-        usageError("unknown builder '", name, "'");
-    return it->second;
-}
-
-AliasPolicy
-parsePolicy(const std::string &name)
-{
-    static const std::map<std::string, AliasPolicy> map = {
-        {"serialize", AliasPolicy::SerializeAll},
-        {"base-offset", AliasPolicy::BaseOffset},
-        {"storage", AliasPolicy::StorageClassed},
-        {"symbolic", AliasPolicy::SymbolicExpr},
-    };
-    auto it = map.find(name);
-    if (it == map.end())
-        usageError("unknown alias policy '", name, "'");
-    return it->second;
+    try {
+        return fromToken(name);
+    } catch (const FatalError &e) {
+        usageError(e.what());
+    }
 }
 
 const char kUsage[] =
@@ -299,9 +271,11 @@ const char kUsage[] =
     "                       command)\n"
     "  --histograms         per-block latency/size histograms on\n"
     "                       stderr (profile: p50/p90/p99/max)\n"
-    "  --zero-times         write all seconds fields as 0 in\n"
-    "                       --stats-json/--trace output (byte-\n"
-    "                       comparable across runs and thread counts)\n"
+    "  --zero-times         write every wall-clock figure as 0:\n"
+    "                       --stats-json/--trace seconds, --histograms\n"
+    "                       and serve-exposition latencies (counts\n"
+    "                       kept), profile's phase ms (byte-comparable\n"
+    "                       across runs and thread counts)\n"
     "\n"
     "forensics (docs/FORENSICS.md):\n"
     "  --capture-outliers <K>  track the K most expensive blocks\n"
@@ -403,13 +377,14 @@ parseArgs(int argc, char **argv)
         if (arg == "--kernel")
             opts.kernel = next();
         else if (arg == "--algorithm")
-            opts.algorithm = parseAlgorithm(next());
+            opts.algorithm =
+                parseName(service::algorithmFromToken, next());
         else if (arg == "--builder")
-            opts.builder = parseBuilder(next());
+            opts.builder = parseName(service::builderFromToken, next());
         else if (arg == "--machine")
             opts.machineName = next();
         else if (arg == "--policy")
-            opts.policy = parsePolicy(next());
+            opts.policy = parseName(service::policyFromToken, next());
         else if (arg == "--window")
             opts.window = std::atoi(next().c_str());
         else if (arg == "--block")
@@ -539,15 +514,21 @@ parseArgs(int argc, char **argv)
     return opts;
 }
 
-/** Robustness knobs shared by every pipeline-driving command. */
-void
-applyRobustness(PipelineOptions &pipeline, const CliOptions &opts)
+/** Scheduler choice and robustness knobs shared by every
+ * pipeline-driving command. */
+PipelineOptions
+pipelineOptions(const CliOptions &opts)
 {
+    PipelineOptions pipeline;
+    pipeline.algorithm = opts.algorithm;
+    pipeline.builder = opts.builder;
+    pipeline.build.memPolicy = opts.policy;
     pipeline.verify = opts.verify;
     pipeline.containFaults = !opts.strict;
     pipeline.maxBlockInsts = opts.maxBlockInsts;
     pipeline.maxBlockSeconds = opts.maxBlockSeconds;
     pipeline.maxRunSeconds = opts.maxRunSeconds;
+    return pipeline;
 }
 
 // --- Graceful shutdown (docs/ROBUSTNESS.md) --------------------------
@@ -666,14 +647,15 @@ class ObsSession
         if (opts_.counters)
             std::fputs(obs::renderCounters(delta).c_str(), stderr);
         if (opts_.histograms) {
-            if (result.histograms.empty())
+            obs::HistogramSet hists = result.histograms;
+            if (opts_.zeroTimes)
+                hists.zeroTimes();
+            if (hists.empty())
                 std::fputs("(no histograms: this command does not run "
                            "the block pipeline)\n",
                            stderr);
             else
-                std::fputs(
-                    obs::renderHistograms(result.histograms).c_str(),
-                    stderr);
+                std::fputs(obs::renderHistograms(hists).c_str(), stderr);
         }
         if (opts_.statsJson.empty())
             return;
@@ -773,11 +755,7 @@ cmdSchedule(const CliOptions &opts)
     popts.window = opts.window;
     auto blocks = partitionBlocks(prog, popts);
 
-    PipelineOptions popeline;
-    popeline.algorithm = opts.algorithm;
-    popeline.builder = opts.builder;
-    popeline.build.memPolicy = opts.policy;
-    applyRobustness(popeline, opts);
+    PipelineOptions popeline = pipelineOptions(opts);
 
     // Aggregate run statistics for --stats-json (phase seconds come
     // from the profiler tree scheduleBlock feeds).
@@ -853,17 +831,12 @@ cmdSchedule(const CliOptions &opts)
         bool was_observing = obs::enabled();
         obs::setEnabled(false);
         try {
-            Dag gt = TableForwardBuilder().build(block, machine,
-                                                 popeline.build);
-            long long original =
-                simulateSchedule(gt, originalOrderSchedule(gt).order,
-                                 machine)
-                    .cycles;
-            before += original;
-            after += result ? simulateSchedule(gt, result->sched.order,
-                                               machine)
-                                  .cycles
-                            : original;
+            BlockCycles cycles = groundTruthCycles(
+                block, result ? &result->dag : nullptr, opts.builder,
+                result ? &result->sched.order : nullptr, machine,
+                popeline.build);
+            before += cycles.original.cycles;
+            after += cycles.scheduled.cycles;
         } catch (const std::exception &) {
             // A block degraded during build may defeat the ground-
             // truth builder too; skip its cycle accounting.
@@ -992,11 +965,7 @@ cmdTimeline(const CliOptions &opts)
     std::vector<BasicBlock> blocks;
     BlockView block = selectBlock(prog, opts, blocks);
 
-    PipelineOptions pipeline;
-    pipeline.algorithm = opts.algorithm;
-    pipeline.builder = opts.builder;
-    pipeline.build.memPolicy = opts.policy;
-    applyRobustness(pipeline, opts);
+    PipelineOptions pipeline = pipelineOptions(opts);
     auto result = scheduleBlock(block, machine, pipeline);
     session.finishCountersOnly();
 
@@ -1039,12 +1008,8 @@ cmdReport(const CliOptions &opts)
     ObsSession session(opts);
     Program prog = loadInput(opts);
     MachineModel machine = presetByName(opts.machineName);
-    PipelineOptions pipeline;
-    pipeline.algorithm = opts.algorithm;
-    pipeline.builder = opts.builder;
-    pipeline.build.memPolicy = opts.policy;
+    PipelineOptions pipeline = pipelineOptions(opts);
     pipeline.partition.window = opts.window;
-    applyRobustness(pipeline, opts);
     ProgramReport report = reportProgram(prog, machine, pipeline);
     std::fputs(report.render(15).c_str(), stdout);
     session.finishCountersOnly();
@@ -1079,17 +1044,13 @@ cmdProfile(const CliOptions &opts)
     MachineModel machine = presetByName(opts.machineName);
     Program prog = cachedProgram(opts.input);
 
-    PipelineOptions pipeline;
-    pipeline.algorithm = opts.algorithm;
-    pipeline.builder = opts.builder;
-    pipeline.build.memPolicy = opts.policy;
+    PipelineOptions pipeline = pipelineOptions(opts);
     pipeline.partition.window = opts.window;
     pipeline.evaluate = true;
     pipeline.threads = opts.threads;
     pipeline.captureOutliers = opts.captureOutliers;
     pipeline.explainBlock = opts.explainBlock;
     pipeline.interrupt = &g_interrupt;
-    applyRobustness(pipeline, opts);
 
     ObsSession session(opts);
     pipeline.trace = session.trace();
@@ -1118,9 +1079,10 @@ cmdProfile(const CliOptions &opts)
 
     std::printf("profile %s: %zu blocks, %zu insts\n",
                 opts.input.c_str(), r.numBlocks, r.numInsts);
+    const double ms = opts.zeroTimes ? 0.0 : 1e3;
     std::printf("build %.2f ms, heuristics %.2f ms, schedule %.2f ms\n",
-                r.buildSeconds * 1e3, r.heurSeconds * 1e3,
-                r.schedSeconds * 1e3);
+                r.buildSeconds * ms, r.heurSeconds * ms,
+                r.schedSeconds * ms);
     std::printf("arcs/block max %d avg %.2f; children/inst max %d "
                 "avg %.2f\n",
                 static_cast<int>(r.dagStats.arcsPerBlock.max()),
@@ -1145,50 +1107,6 @@ cmdProfile(const CliOptions &opts)
                      issue.degraded ? " degraded" : "",
                      issue.reason.c_str());
     return 0;
-}
-
-// Outlier bundles carry the *display* names emitted by the stats
-// writer (builderKindName / aliasPolicyName), which differ from the
-// CLI option tokens ("n**2 fwd" vs "n2-fwd") — map them back by
-// asking each enum value for its name.  A mismatch is a data error
-// (exit 1), not a usage error.
-
-BuilderKind
-builderFromDisplayName(const std::string &name)
-{
-    static const BuilderKind kinds[] = {
-        BuilderKind::N2Forward,    BuilderKind::N2Backward,
-        BuilderKind::N2Landskov,   BuilderKind::TableForward,
-        BuilderKind::TableBackward,
-    };
-    for (BuilderKind kind : kinds)
-        if (builderKindName(kind) == name)
-            return kind;
-    fatal("unknown builder '", name, "' in bundle meta");
-}
-
-AliasPolicy
-policyFromDisplayName(const std::string &name)
-{
-    static const AliasPolicy policies[] = {
-        AliasPolicy::SerializeAll,
-        AliasPolicy::BaseOffset,
-        AliasPolicy::StorageClassed,
-        AliasPolicy::SymbolicExpr,
-    };
-    for (AliasPolicy policy : policies)
-        if (aliasPolicyName(policy) == name)
-            return policy;
-    fatal("unknown alias policy '", name, "' in bundle meta");
-}
-
-AlgorithmKind
-algorithmFromDisplayName(const std::string &name)
-{
-    for (AlgorithmKind kind : allAlgorithms())
-        if (algorithmName(kind) == name)
-            return kind;
-    fatal("unknown algorithm '", name, "' in bundle meta");
 }
 
 /**
@@ -1218,21 +1136,24 @@ cmdExplain(const CliOptions &opts)
 
     // Capture configuration: bundle meta wins; CLI options fill any
     // gaps (old bundles without a policy field, say).
-    AlgorithmKind algorithm = opts.algorithm;
-    BuilderKind builder = opts.builder;
-    AliasPolicy policy = opts.policy;
+    PipelineOptions pipeline = pipelineOptions(opts);
+    pipeline.threads = 1;
+    pipeline.explainBlock = 0;
     std::string machineName = opts.machineName;
     if (doc.has("meta")) {
         const obs::JsonValue &meta = doc.at("meta");
+        // Bundles carry the stats writer's display names ("n**2
+        // fwd"); the name tables accept those too.  A bad name is a
+        // data error (exit 1), not a usage error.
         std::string name = meta.strOr("algorithm", "");
         if (!name.empty())
-            algorithm = algorithmFromDisplayName(name);
+            pipeline.algorithm = service::algorithmFromToken(name);
         name = meta.strOr("builder", "");
         if (!name.empty())
-            builder = builderFromDisplayName(name);
+            pipeline.builder = service::builderFromToken(name);
         name = meta.strOr("policy", "");
         if (!name.empty())
-            policy = policyFromDisplayName(name);
+            pipeline.build.memPolicy = service::policyFromToken(name);
         machineName = meta.strOr("machine", machineName);
     }
 
@@ -1268,13 +1189,6 @@ cmdExplain(const CliOptions &opts)
     stampMemGenerations(prog);
     MachineModel machine = presetByName(machineName);
 
-    PipelineOptions pipeline;
-    pipeline.algorithm = algorithm;
-    pipeline.builder = builder;
-    pipeline.build.memPolicy = policy;
-    pipeline.threads = 1;
-    pipeline.explainBlock = 0;
-    applyRobustness(pipeline, opts);
     ProgramResult r = runPipeline(prog, machine, pipeline);
     if (r.decisions.empty())
         fatal("replay produced no decision trace (block degraded: ",
